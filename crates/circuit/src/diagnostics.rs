@@ -22,9 +22,9 @@ pub enum FactorStrategy {
     DenseLu,
     /// Dense LU of the Tikhonov-shifted system `A + ε·I`.
     RegularizedDenseLu,
-    /// Preconditioned Krylov iteration (GMRES, or CG when the system is
-    /// symmetric) — kept factorization-free; the "factor" is the
-    /// preconditioner.
+    /// The retired preconditioned Krylov stage. No backend produces it
+    /// any more; the variant stays so that code matching on the accepted
+    /// strategy keeps compiling.
     Iterative,
 }
 
@@ -62,14 +62,12 @@ pub struct FactorDiagnostics {
     /// The Tikhonov shift `ε` that was finally applied, if the
     /// regularized stage was reached.
     pub regularization: Option<f64>,
-    /// Matrix-vector products the iterative stage's acceptance probe
-    /// needed, when that stage produced the factor.
+    /// Iteration count of the retired Krylov stage. Always `None`: every
+    /// solve is direct. Kept so that existing readers keep compiling.
     pub iterations: Option<usize>,
-    /// Relative residual the iterative probe converged to.
-    pub iter_residual: Option<f64>,
-    /// Preconditioner the iterative stage settled on (`"ilu0"`,
-    /// `"wvpec-window"`, `"jacobi"`, or `"identity"`).
-    pub preconditioner: Option<&'static str>,
+    /// Bytes the accepted factor stores: `dim²` values for dense LU, one
+    /// value plus one index per stored L/U entry for sparse LU.
+    pub factor_bytes: Option<u64>,
 }
 
 impl FactorDiagnostics {
@@ -103,11 +101,6 @@ impl FactorDiagnostics {
             .collect();
         if let Some(eps) = self.regularization {
             parts.push(format!("epsilon {eps:.1e}"));
-        }
-        if let Some(iters) = self.iterations {
-            let precond = self.preconditioner.unwrap_or("?");
-            let resid = self.iter_residual.unwrap_or(f64::NAN);
-            parts.push(format!("{precond} x{iters} residual {resid:.1e}"));
         }
         let mut s = parts.join(" -> ");
         if let Some(c) = self.condition_estimate {
@@ -222,25 +215,6 @@ mod tests {
         assert!(s.contains("cond"));
         assert!(d.used_fallback());
         assert_eq!(d.accepted(), Some(FactorStrategy::DenseLu));
-    }
-
-    #[test]
-    fn summary_reports_the_iterative_stage() {
-        let d = FactorDiagnostics {
-            attempts: vec![FactorAttempt {
-                strategy: FactorStrategy::Iterative,
-                succeeded: true,
-            }],
-            iterations: Some(12),
-            iter_residual: Some(3.0e-13),
-            preconditioner: Some("ilu0"),
-            ..FactorDiagnostics::default()
-        };
-        let s = d.summary();
-        assert!(s.contains("iterative ok"));
-        assert!(s.contains("ilu0 x12"));
-        assert!(s.contains("3.0e-13"));
-        assert_eq!(d.accepted(), Some(FactorStrategy::Iterative));
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub struct ParsedArgs {
     /// resolve from `VPEC_TRACE`).
     pub trace: Option<String>,
     /// Linear-solver override for transient analyses
-    /// (`--solver=direct|iterative|auto`; `None` = the spec default,
-    /// `Auto`).
+    /// (`--solver=auto|direct|dense|sparse|sparse-no-ordering`; `None` =
+    /// the spec default, `Auto`).
     pub solver: Option<SolverKind>,
     /// Input path for `batch` (`--in FILE`).
     pub input: Option<String>,
@@ -529,13 +529,16 @@ mod tests {
     fn parses_solver_flag() {
         assert_eq!(parse_args(&argv("simulate")).unwrap().solver, None);
         assert_eq!(
-            parse_args(&argv("simulate --solver=iterative")).unwrap().solver,
-            Some(SolverKind::Iterative)
+            parse_args(&argv("simulate --solver=sparse")).unwrap().solver,
+            Some(SolverKind::Sparse)
         );
         assert_eq!(
             parse_args(&argv("simulate --solver direct")).unwrap().solver,
-            Some(SolverKind::Direct)
+            Some(SolverKind::Auto)
         );
+        let err = parse_args(&argv("simulate --solver=iterative")).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("unknown solver"), "{}", err.message);
         assert_eq!(
             parse_args(&argv("noise --solver=auto")).unwrap().solver,
             Some(SolverKind::Auto)

@@ -100,7 +100,7 @@ pub struct ScenarioRequest {
     /// Per-request wall-clock deadline override, milliseconds.
     pub deadline_ms: Option<u64>,
     /// Linear-solver override for transient analyses (the `"solver"`
-    /// field, grammar `direct`/`iterative`/`auto`; `None` = `Auto`).
+    /// field, grammar of [`SolverKind::parse`]; `None` = `Auto`).
     pub solver: Option<SolverKind>,
 }
 
@@ -254,7 +254,7 @@ impl ScenarioRequest {
             ),
             Some(_) => {
                 return Err(EngineError::BadRequest {
-                    message: "solver must be a string (direct, iterative or auto)".into(),
+                    message: "solver must be a string (auto, direct, dense, sparse or sparse-no-ordering)".into(),
                 })
             }
         };
@@ -392,10 +392,13 @@ mod tests {
 
     #[test]
     fn solver_field_parses_the_shared_grammar() {
-        let r = ScenarioRequest::parse_line(r#"{"solver":"iterative"}"#, 0).unwrap();
-        assert_eq!(r.solver, Some(SolverKind::Iterative));
+        let r = ScenarioRequest::parse_line(r#"{"solver":"auto"}"#, 0).unwrap();
+        assert_eq!(r.solver, Some(SolverKind::Auto));
+        // `direct` stays accepted as an alias so older streams parse.
         let r = ScenarioRequest::parse_line(r#"{"solver":"direct"}"#, 0).unwrap();
-        assert_eq!(r.solver, Some(SolverKind::Direct));
+        assert_eq!(r.solver, Some(SolverKind::Auto));
+        let r = ScenarioRequest::parse_line(r#"{"solver":"sparse"}"#, 0).unwrap();
+        assert_eq!(r.solver, Some(SolverKind::Sparse));
         let r = ScenarioRequest::parse_line(r#"{"solver":null}"#, 0).unwrap();
         assert_eq!(r.solver, None);
     }

@@ -99,10 +99,10 @@ pub struct StreamSummary {
 struct SolveAttribution {
     /// Accepted factorization strategy label, when a transient ran.
     strategy: Option<&'static str>,
-    /// Preconditioner the iterative stage settled on, when it did.
-    preconditioner: Option<&'static str>,
     /// MNA matrix dimension of the transient system.
     dim: Option<usize>,
+    /// Bytes the accepted factor stores.
+    factor_bytes: Option<u64>,
     /// Model-build phase wall time, ms.
     build_ms: Option<f64>,
     /// Solve phase wall time, ms.
@@ -156,15 +156,13 @@ fn ledger_record(
         model_hit: resp.cache_hit,
         factor_hit: attr.factor_hit,
         strategy: attr.strategy.map(str::to_string),
-        preconditioner: attr.preconditioner.map(str::to_string),
         dim: attr.dim,
         elements: resp.elements,
         queue_ms,
         build_ms: attr.build_ms,
         solve_ms: attr.solve_ms,
         total_ms: resp.elapsed_ms,
-        // Dense-factorization upper bound: an n×n matrix of f64.
-        peak_scratch_bytes: attr.dim.map(|d| 8 * (d as u64) * (d as u64)),
+        peak_scratch_bytes: attr.factor_bytes,
     }
 }
 
@@ -327,21 +325,13 @@ impl Engine {
                         let w = model.far_voltage(&res, k).map_err(analysis_err)?;
                         peak = peak.max(peak_abs(&w));
                     }
+                    let transient = report.transient.as_ref();
                     let attr = SolveAttribution {
-                        strategy: report
-                            .transient
-                            .as_ref()
+                        strategy: transient
                             .and_then(|t| t.factor.accepted())
                             .map(|s| s.label()),
-                        preconditioner: report
-                            .transient
-                            .as_ref()
-                            .and_then(|t| t.factor.preconditioner),
-                        dim: report
-                            .transient
-                            .as_ref()
-                            .map(|t| t.dim)
-                            .filter(|&d| d > 0),
+                        dim: transient.map(|t| t.dim).filter(|&d| d > 0),
+                        factor_bytes: transient.and_then(|t| t.factor.factor_bytes),
                         build_ms: Some(
                             report.build_seconds.unwrap_or(model.build_seconds) * 1e3,
                         ),
@@ -714,24 +704,24 @@ mod tests {
     #[test]
     fn solver_override_runs_and_keys_the_factor_cache() {
         let mut engine = Engine::new(EngineConfig::default());
-        let direct = req(r#"{"id":"d","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}"#);
-        let iterative = req(
-            r#"{"id":"i","bits":3,"kind":"wvpec-g:2","t_stop":5e-11,"solver":"iterative"}"#,
+        let auto = req(r#"{"id":"a","bits":3,"kind":"wvpec-g:2","t_stop":5e-11}"#);
+        let sparse = req(
+            r#"{"id":"s","bits":3,"kind":"wvpec-g:2","t_stop":5e-11,"solver":"sparse"}"#,
         );
-        let a = engine.run_request(&direct);
+        let a = engine.run_request(&auto);
         assert!(a.ok, "{:?}", a.error);
         // Same geometry/kind/dt but a different solver is a different
         // prepared factor — it must miss, not trip the exact-spec
-        // revalidation of a cached direct factor.
-        let b = engine.run_request(&iterative);
+        // revalidation of the cached dense factor.
+        let b = engine.run_request(&sparse);
         assert!(b.ok, "{:?}", b.error);
         assert_eq!(engine.cache().factor_misses(), 2);
         assert_eq!(engine.cache().factor_hits(), 0);
-        // The two paths answer with the same physics.
+        // The two backends answer with the same physics.
         let (pa, pb) = (a.peak_mv.unwrap(), b.peak_mv.unwrap());
         assert!((pa - pb).abs() <= 1e-6 * pa.abs().max(1.0), "{pa} vs {pb}");
-        // Repeating the iterative request reuses its own factor.
-        let c = engine.run_request(&iterative);
+        // Repeating the sparse request reuses its own factor.
+        let c = engine.run_request(&sparse);
         assert!(c.ok, "{:?}", c.error);
         assert_eq!(engine.cache().factor_hits(), 1);
         assert_eq!(c.peak_mv, b.peak_mv);
@@ -861,5 +851,27 @@ mod tests {
             assert!(v.get("status").is_some());
         }
         assert!(lines[1].contains("bad-request"));
+    }
+
+    #[test]
+    fn retired_iterative_solver_is_a_bad_request() {
+        // Streams written while the Krylov solver existed may still ask
+        // for it: the line must fail alone with a typed schema error
+        // that names the accepted solvers, and the stream goes on.
+        let mut engine = Engine::new(EngineConfig::default());
+        let input = "{\"id\":\"k\",\"bits\":3,\"kind\":\"wvpec-g:2\",\"t_stop\":5e-11,\"solver\":\"iterative\"}\n\
+                     {\"id\":\"d\",\"bits\":3,\"kind\":\"wvpec-g:2\",\"t_stop\":5e-11,\"solver\":\"direct\"}\n";
+        let mut out = Vec::new();
+        let summary = engine
+            .run_stream(std::io::Cursor::new(input), &mut out)
+            .unwrap();
+        assert_eq!((summary.total, summary.ok, summary.failed), (2, 1, 1));
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].contains("\"status\":\"failed\""), "{}", lines[0]);
+        assert!(lines[0].contains("bad-request"), "{}", lines[0]);
+        assert!(lines[0].contains("unknown solver: iterative"), "{}", lines[0]);
+        assert!(lines[0].contains("sparse-no-ordering"), "{}", lines[0]);
+        assert!(lines[1].contains("\"status\":\"ok\""), "{}", lines[1]);
     }
 }

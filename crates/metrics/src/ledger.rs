@@ -4,8 +4,8 @@
 //! including ones that failed to parse — appends exactly one
 //! `"rec":"request"` line capturing the outcome, error class, retries,
 //! degradation reason, which cache levels hit, the accepted solver
-//! strategy and preconditioner, the matrix dimension, the
-//! queue-wait/build/solve phase split, and a peak-scratch estimate.
+//! strategy, the matrix dimension, the queue-wait/build/solve phase
+//! split, and the bytes the accepted factor stores.
 //! Long-running `serve` streams interleave periodic `"rec":"snapshot"`
 //! lines with registry counters and histogram quick-stats. Lines are
 //! flushed one at a time so a crashed process still leaves a valid
@@ -59,8 +59,6 @@ pub struct RunRecord {
     /// Accepted factorization strategy label (`"sparse-lu"`, …), when a
     /// transient ran.
     pub strategy: Option<String>,
-    /// Preconditioner the iterative stage settled on, when it did.
-    pub preconditioner: Option<String>,
     /// MNA matrix dimension of the transient system, when known.
     pub dim: Option<usize>,
     /// Circuit element count of the model that answered.
@@ -74,8 +72,9 @@ pub struct RunRecord {
     pub solve_ms: Option<f64>,
     /// End-to-end request wall time, ms.
     pub total_ms: f64,
-    /// Upper-bound scratch estimate for the solve: `8·dim²` bytes (a
-    /// dense factorization of the MNA system), when `dim` is known.
+    /// Bytes the accepted factor of the transient system stores: `dim²`
+    /// values for dense LU, one value plus one index per stored L/U entry
+    /// for sparse LU. `None` when no transient was factored.
     pub peak_scratch_bytes: Option<u64>,
 }
 
@@ -140,7 +139,6 @@ impl RunRecord {
         let _ = write!(out, ",\"model_hit\":{}", self.model_hit);
         let _ = write!(out, ",\"factor_hit\":{}", self.factor_hit);
         push_opt_str(&mut out, "strategy", self.strategy.as_deref());
-        push_opt_str(&mut out, "preconditioner", self.preconditioner.as_deref());
         push_opt_u64(&mut out, "dim", self.dim.map(|d| d as u64));
         push_opt_u64(&mut out, "elements", self.elements.map(|e| e as u64));
         push_f64(&mut out, "queue_ms", self.queue_ms);
@@ -268,7 +266,6 @@ pub fn parse_line(line: &str) -> Result<LedgerRecord, String> {
                 model_hit: req_bool(&v, "model_hit")?,
                 factor_hit: req_bool(&v, "factor_hit")?,
                 strategy: opt_str(&v, "strategy")?,
-                preconditioner: opt_str(&v, "preconditioner")?,
                 dim: opt_u64(&v, "dim")?.map(|d| d as usize),
                 elements: opt_u64(&v, "elements")?.map(|e| e as usize),
                 queue_ms: req_f64(&v, "queue_ms")?,
@@ -407,7 +404,6 @@ mod tests {
             model_hit: false,
             factor_hit: false,
             strategy: Some("sparse-lu".to_string()),
-            preconditioner: None,
             dim: Some(17),
             elements: Some(120),
             queue_ms: 0.2,
@@ -460,5 +456,30 @@ mod tests {
         let broken = content.replace("\"seq\":3", "\"seq\":7");
         assert!(parse_ledger(&broken).unwrap_err().contains("expected seq 3"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn ledgers_with_the_retired_preconditioner_field_still_parse() {
+        // A line as the engine wrote it while the iterative solver
+        // existed: the field is ignored, everything else survives.
+        let line = "{\"rec\":\"request\",\"seq\":1,\"ts_ms\":5,\"id\":\"a\",\"ok\":true,\
+                    \"error\":null,\"kind\":\"gwVPEC(b=2)\",\"ran\":\"gwVPEC(b=2)\",\
+                    \"analysis\":\"transient\",\"retries\":0,\"degraded\":false,\
+                    \"degraded_reason\":null,\"experiment_hit\":false,\"model_hit\":false,\
+                    \"factor_hit\":false,\"strategy\":\"dense-lu\",\"preconditioner\":null,\
+                    \"dim\":26,\"elements\":40,\"queue_ms\":0.1,\"build_ms\":1.5,\
+                    \"solve_ms\":2.5,\"total_ms\":4.25,\"peak_scratch_bytes\":5408}";
+        let records = parse_ledger(line).unwrap();
+        let stats = crate::stats::aggregate(&records, 0);
+        assert_eq!((stats.total, stats.ok), (1, 1));
+        assert_eq!(stats.strategies.get("dense-lu"), Some(&1));
+        assert_eq!(stats.peak_scratch_bytes, Some(5408));
+        match &records[0] {
+            LedgerRecord::Request { run, .. } => {
+                assert_eq!(run.dim, Some(26));
+                assert!(!run.to_json_line(1, 5).contains("preconditioner"));
+            }
+            other => panic!("expected request, got {other:?}"),
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! are **exact** nearest-rank values over the recorded latencies (unlike
 //! the live registry histograms, which quantize into √2 buckets). The
 //! report covers latency percentiles overall, per model-kind and per
-//! outcome; cache hit ratios per level; solver-strategy, preconditioner
-//! and degradation breakdowns; an error taxonomy; and request throughput
+//! outcome; cache hit ratios per level; solver-strategy and degradation
+//! breakdowns; an error taxonomy; and request throughput
 //! over fixed time buckets. [`FailCondition`] turns the report into a CI
 //! gate: `--fail-if p99>250ms` / `--fail-if degraded>5%`.
 
@@ -114,8 +114,6 @@ pub struct LedgerStats {
     pub factor_cache: CacheLevelStats,
     /// Requests per accepted factorization strategy.
     pub strategies: BTreeMap<String, usize>,
-    /// Requests per iterative preconditioner.
-    pub preconditioners: BTreeMap<String, usize>,
     /// Degraded requests per reason.
     pub degraded_reasons: BTreeMap<String, usize>,
     /// Failed requests per error category.
@@ -124,7 +122,7 @@ pub struct LedgerStats {
     pub throughput: BTreeMap<u64, usize>,
     /// Width of the throughput buckets, ms.
     pub bucket_ms: u64,
-    /// Largest peak-scratch estimate seen, bytes.
+    /// Largest factor storage seen, bytes.
     pub peak_scratch_bytes: Option<u64>,
 }
 
@@ -191,9 +189,6 @@ pub fn aggregate(records: &[LedgerRecord], bucket_ms: u64) -> LedgerStats {
         }
         if let Some(s) = &run.strategy {
             *stats.strategies.entry(s.clone()).or_default() += 1;
-        }
-        if let Some(p) = &run.preconditioner {
-            *stats.preconditioners.entry(p.clone()).or_default() += 1;
         }
         if let Some(b) = run.peak_scratch_bytes {
             stats.peak_scratch_bytes = Some(stats.peak_scratch_bytes.unwrap_or(0).max(b));
@@ -299,9 +294,8 @@ impl LedgerStats {
                 level.hits, level.misses
             );
         }
-        let breakdowns: [(&str, &BTreeMap<String, usize>); 4] = [
+        let breakdowns: [(&str, &BTreeMap<String, usize>); 3] = [
             ("strategies", &self.strategies),
-            ("preconditioners", &self.preconditioners),
             ("degraded reasons", &self.degraded_reasons),
             ("errors", &self.errors),
         ];
@@ -322,7 +316,7 @@ impl LedgerStats {
             }
         }
         if let Some(b) = self.peak_scratch_bytes {
-            let _ = writeln!(out, "peak scratch estimate: {b} bytes");
+            let _ = writeln!(out, "largest factor: {b} bytes");
         }
         out
     }
@@ -412,7 +406,6 @@ impl LedgerStats {
             cache_obj(self.factor_cache)
         );
         let _ = write!(out, ",\"strategies\":{}", count_map(&self.strategies));
-        let _ = write!(out, ",\"preconditioners\":{}", count_map(&self.preconditioners));
         let _ = write!(out, ",\"degraded_reasons\":{}", count_map(&self.degraded_reasons));
         let _ = write!(out, ",\"errors\":{}", count_map(&self.errors));
         let _ = write!(out, ",\"throughput\":{{\"bucket_ms\":{},\"buckets\":[", self.bucket_ms);

@@ -64,17 +64,12 @@ pub struct TuneProfile {
     /// Minimum AC sweep points per worker before the per-frequency solves
     /// go parallel.
     pub ac_min_points_per_thread: usize,
-    /// Minimum matrix dimension before the `auto` solver policy tries the
-    /// preconditioned Krylov path ahead of the direct factorizations. The
-    /// default sits beyond the largest layout in the tracked crossover
-    /// bench (dim 7202), where sparse-direct still wins by orders of
-    /// magnitude on the banded bus patterns — `auto` only reaches for
-    /// Krylov first at sizes the direct record does not cover; lower it
-    /// (or pass `--solver=iterative`) to move the crossover.
-    pub iter_min_dim: usize,
-    /// GMRES restart length (Krylov subspace dimension per cycle).
-    pub iter_restart: usize,
 }
+
+/// Keys that profiles written before the iterative solver was removed
+/// still carry. [`TuneProfile::parse`] skips them with a warning instead
+/// of rejecting the whole profile.
+const RETIRED_KEYS: [&str; 2] = ["iter_min_dim", "iter_restart"];
 
 impl Default for TuneProfile {
     fn default() -> Self {
@@ -85,8 +80,6 @@ impl Default for TuneProfile {
             chol_block_min_dim: 64,
             panel_width: 32,
             ac_min_points_per_thread: 8,
-            iter_min_dim: 16384,
-            iter_restart: 64,
         }
     }
 }
@@ -94,7 +87,9 @@ impl Default for TuneProfile {
 impl TuneProfile {
     /// Parses a profile from `key = value` lines (a `vpec tune` file) or
     /// comma-separated `key=value` pairs (inline `VPEC_TUNE`). Unlisted
-    /// keys keep their defaults; `#` starts a comment.
+    /// keys keep their defaults; `#` starts a comment. The retired
+    /// `iter_min_dim` and `iter_restart` keys are ignored with a one-line
+    /// warning on stderr, so an older profile keeps its other values.
     ///
     /// # Errors
     ///
@@ -102,6 +97,7 @@ impl TuneProfile {
     /// value, or a malformed pair.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut p = TuneProfile::default();
+        let mut retired: Vec<&str> = Vec::new();
         for raw in text.split(['\n', ',']) {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -125,10 +121,15 @@ impl TuneProfile {
                 "chol_block_min_dim" => p.chol_block_min_dim = v,
                 "panel_width" => p.panel_width = v,
                 "ac_min_points_per_thread" => p.ac_min_points_per_thread = v,
-                "iter_min_dim" => p.iter_min_dim = v,
-                "iter_restart" => p.iter_restart = v,
+                other if RETIRED_KEYS.contains(&other) => retired.push(other),
                 other => return Err(format!("unknown tune key {other:?}")),
             }
+        }
+        if !retired.is_empty() {
+            eprintln!(
+                "VPEC_TUNE: ignoring retired key(s) {} (the iterative solver was removed)",
+                retired.join(", ")
+            );
         }
         Ok(p)
     }
@@ -143,17 +144,13 @@ impl TuneProfile {
              lu_block_min_dim = {}\n\
              chol_block_min_dim = {}\n\
              panel_width = {}\n\
-             ac_min_points_per_thread = {}\n\
-             iter_min_dim = {}\n\
-             iter_restart = {}\n",
+             ac_min_points_per_thread = {}\n",
             self.par_min_cols,
             self.elim_par_min_dim,
             self.lu_block_min_dim,
             self.chol_block_min_dim,
             self.panel_width,
             self.ac_min_points_per_thread,
-            self.iter_min_dim,
-            self.iter_restart,
         )
     }
 
@@ -413,8 +410,6 @@ mod tests {
         assert_eq!(p.chol_block_min_dim, 64);
         assert_eq!(p.panel_width, 32);
         assert_eq!(p.ac_min_points_per_thread, 8);
-        assert_eq!(p.iter_min_dim, 16384);
-        assert_eq!(p.iter_restart, 64);
     }
 
     #[test]
@@ -426,10 +421,30 @@ mod tests {
             chol_block_min_dim: 80,
             panel_width: 16,
             ac_min_points_per_thread: 3,
-            iter_min_dim: 1024,
-            iter_restart: 48,
         };
         assert_eq!(TuneProfile::parse(&p.to_text()).unwrap(), p);
+    }
+
+    #[test]
+    fn profiles_with_retired_keys_keep_their_other_values() {
+        // A profile as `vpec tune` wrote it while the iterative solver
+        // existed: the two Krylov knobs must not void the measured ones.
+        let old = "# vpec tune profile — load with VPEC_TUNE=<this file>\n\
+                   par_min_cols = 64\n\
+                   elim_par_min_dim = 256\n\
+                   lu_block_min_dim = 48\n\
+                   chol_block_min_dim = 96\n\
+                   panel_width = 16\n\
+                   ac_min_points_per_thread = 8\n\
+                   iter_min_dim = 16384\n\
+                   iter_restart = 64\n";
+        let p = TuneProfile::parse(old).unwrap();
+        assert_eq!(p.lu_block_min_dim, 48);
+        assert_eq!(p.panel_width, 16);
+        assert_eq!(p.chol_block_min_dim, 96);
+        assert_eq!(p.elim_par_min_dim, 256);
+        let inline = TuneProfile::parse("iter_min_dim=10,panel_width=64").unwrap();
+        assert_eq!(inline.panel_width, 64);
     }
 
     #[test]
