@@ -1,11 +1,14 @@
 //! **EXP-F4 (Fig. 4)** — model *extraction* time: truncation (full
 //! inversion) vs windowing, buses of 8…2048 bits, one segment per line.
 //!
-//! gtVPEC with (N_W, N_L) = (8, 1) requires the full `O(N³)` inversion
-//! before truncating; gwVPEC with b = 8 solves N windows of size 8
-//! (`O(N·b³)`). The paper reports comparable times below ~128 bits and a
-//! 90× windowing advantage at 2048 bits (8.6 s vs 543.1 s on their
-//! hardware).
+//! gtVPEC with (N_W, N_L) = (8, 1) requires the dense `L` and its full
+//! `O(N³)` inversion before truncating; gwVPEC with b = 8 evaluates the
+//! window entries of `L` only and solves N windows of size 8 (`O(N·b³)`).
+//! Each kind is timed end to end, from the layout: parasitic extraction
+//! plus model construction, on a fresh [`Experiment`], so neither column
+//! inherits the other's `L`. The paper reports comparable times below
+//! ~128 bits and a 90× windowing advantage at 2048 bits (8.6 s vs 543.1 s
+//! on their hardware).
 
 use crate::report::{secs, speedup, Table};
 use std::time::Instant;
@@ -17,7 +20,8 @@ use vpec_geometry::BusSpec;
 /// Outcome of the extraction-time scaling sweep.
 #[derive(Debug, Clone)]
 pub struct Fig4Outcome {
-    /// `(bits, truncation_seconds, windowing_seconds)`.
+    /// `(bits, truncation_seconds, windowing_seconds)`, each extraction
+    /// plus model construction.
     pub rows: Vec<(usize, f64, f64)>,
     /// Rendered report.
     pub report: String,
@@ -32,28 +36,27 @@ pub fn run(sizes: &[usize]) -> Fig4Outcome {
     let mut rows = Vec::new();
     let mut t = Table::new(&[
         "bits",
-        "gtVPEC(8,1) extract",
-        "gwVPEC(b=8) extract",
+        "gtVPEC(8,1) extract+model",
+        "gwVPEC(b=8) extract+model",
         "windowing speedup",
     ]);
     for &bits in sizes {
-        let exp = Experiment::new(
-            BusSpec::new(bits).build(),
-            &ExtractionConfig::paper_default(),
-            DriveConfig::paper_default(),
-        );
-        // Time only the VPEC model construction (inversion / windowing),
-        // which is what Fig. 4 plots.
-        let t0 = Instant::now();
-        let _trunc = exp
-            .vpec_model(ModelKind::TVpecGeometric { nw: 8, nl: 1 })
-            .expect("gtVPEC");
-        let trunc_secs = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let _win = exp
-            .vpec_model(ModelKind::WVpecGeometric { b: 8 })
-            .expect("gwVPEC");
-        let win_secs = t1.elapsed().as_secs_f64();
+        let layout = BusSpec::new(bits).build();
+        // Extraction plus model construction (inversion / windowing) from
+        // a fresh experiment: what producing each model costs.
+        let time_kind = |kind: ModelKind| {
+            let layout = layout.clone();
+            let t0 = Instant::now();
+            let exp = Experiment::new(
+                layout,
+                &ExtractionConfig::paper_default(),
+                DriveConfig::paper_default(),
+            );
+            exp.vpec_model(kind).expect("model builds");
+            t0.elapsed().as_secs_f64()
+        };
+        let trunc_secs = time_kind(ModelKind::TVpecGeometric { nw: 8, nl: 1 });
+        let win_secs = time_kind(ModelKind::WVpecGeometric { b: 8 });
         rows.push((bits, trunc_secs, win_secs));
         t.row(&[
             bits.to_string(),

@@ -223,7 +223,7 @@ pub fn return_limited(
         })
         .collect();
     let reduced = Parasitics {
-        inductance: loop_l,
+        inductance: loop_l.into(),
         resistance,
         cap_ground,
         cap_coupling,

@@ -185,7 +185,7 @@ impl BuildBudget {
     /// Checks a request shape (`n_filaments` geometry, model `kind`,
     /// planned transient `steps`) against this budget. Callable before
     /// extraction — the batch engine gates on the raw layout so an
-    /// over-budget request never pays the O(N²) extraction either.
+    /// over-budget request never pays for extraction either.
     ///
     /// # Errors
     ///

@@ -74,6 +74,7 @@ pub fn build_vpec_styled(
     let n = model.len();
 
     // Per-filament blocks.
+    let ground = model.ground_conductances();
     let mut mag_nodes = Vec::with_capacity(n);
     for (i, span) in spans.iter().enumerate() {
         let li = model.lengths()[i];
@@ -109,12 +110,7 @@ pub fn build_vpec_styled(
             }
         };
         // Magnetic: ground resistance R̂i0 (from the model's kept rows).
-        ckt.add_resistor(
-            &format!("rg{i}"),
-            a_node,
-            Circuit::GROUND,
-            model.ground_resistance(i),
-        )?;
+        ckt.add_resistor(&format!("rg{i}"), a_node, Circuit::GROUND, 1.0 / ground[i])?;
         // Î injection: lᵢ · i(segment) into aᵢ.
         ckt.add_cccs(&format!("f{i}"), Circuit::GROUND, a_node, sense, li)?;
         // Derivative chain: VCCS copies Aᵢ into the unit inductor, whose

@@ -199,6 +199,20 @@ impl VpecModel {
         g
     }
 
+    /// [`VpecModel::ground_conductance`] of every filament, in one pass
+    /// over the kept couplings (each sum accumulates in the same order,
+    /// so the values are bit-identical to the per-filament calls).
+    pub fn ground_conductances(&self) -> Vec<f64> {
+        let mut g = self.g_diag.clone();
+        for &(a, b, v) in &self.g_off {
+            g[a] += v;
+            if b != a {
+                g[b] += v;
+            }
+        }
+        g
+    }
+
     /// Keeps only off-diagonal entries for which `keep(i, j)` is true; the
     /// diagonal is preserved, which is exactly the truncation Theorem 2
     /// proves passivity-preserving.
@@ -461,6 +475,10 @@ mod tests {
             // couplings subtract).
             assert!(m.ground_conductance(i) < t.ground_conductance(i));
             assert!(m.ground_conductance(i) > 0.0);
+        }
+        let all = m.ground_conductances();
+        for (i, g) in all.iter().enumerate() {
+            assert_eq!(g.to_bits(), m.ground_conductance(i).to_bits());
         }
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::{CoreError, VpecModel};
 use std::collections::HashMap;
-use vpec_extract::Parasitics;
+use vpec_extract::{Parasitics, PartialInductance};
 use vpec_numerics::{Cholesky, DenseMatrix, LuFactor, NumericsError};
 
 /// Rejects inductance matrices the window machinery cannot safely
@@ -28,10 +28,7 @@ fn validate_inductance(l: &DenseMatrix<f64>) -> Result<(), CoreError> {
     for i in 0..l.rows() {
         for j in 0..l.cols() {
             if !l[(i, j)].is_finite() {
-                return Err(CoreError::BadInductanceMatrix(NumericsError::NonFinite {
-                    op: "wVPEC windowing",
-                    index: (i, j),
-                }));
+                return Err(non_finite(i, j));
             }
         }
     }
@@ -45,10 +42,139 @@ fn validate_inductance(l: &DenseMatrix<f64>) -> Result<(), CoreError> {
     Ok(())
 }
 
+fn non_finite(i: usize, j: usize) -> CoreError {
+    CoreError::BadInductanceMatrix(NumericsError::NonFinite {
+        op: "wVPEC windowing",
+        index: (i, j),
+    })
+}
+
+/// Reads the entries of `L` that window selection and the window solves
+/// need, validating each one. A materialised `L` is validated whole up
+/// front, as [`validate_inductance`] always did; a lazy one has its
+/// diagonal validated up front and every other entry as it is read, so
+/// the windows never evaluate the rest of the matrix.
+struct EntryReader<'a> {
+    l: &'a PartialInductance,
+    diag: Vec<f64>,
+    /// Per aggressor, the entries its ring search read, sorted by column.
+    /// Kept only while `L` follows its geometry, which makes it exactly
+    /// symmetric: neighbouring windows overlap, so most window entries
+    /// were already read as some row's partners.
+    known: Option<Vec<Vec<(usize, f64)>>>,
+    /// Off-diagonal entries evaluated so far.
+    reads: u64,
+}
+
+impl<'a> EntryReader<'a> {
+    fn new(l: &'a PartialInductance) -> Result<Self, CoreError> {
+        if l.is_materialized() {
+            validate_inductance(l.dense())?;
+        }
+        let diag: Vec<f64> = (0..l.rows()).map(|m| l.entry(m, m)).collect();
+        if let Some(m) = diag.iter().position(|v| !v.is_finite()) {
+            return Err(non_finite(m, m));
+        }
+        if let Some(m) = diag.iter().position(|&v| v <= 0.0) {
+            return Err(CoreError::BadInductanceMatrix(
+                NumericsError::NotPositiveDefinite { row: m },
+            ));
+        }
+        let known = l.index().map(|_| vec![Vec::new(); l.rows()]);
+        Ok(EntryReader {
+            l,
+            diag,
+            known,
+            reads: 0,
+        })
+    }
+
+    fn get(&mut self, i: usize, j: usize) -> Result<f64, CoreError> {
+        if i == j {
+            return Ok(self.diag[i]);
+        }
+        if let Some(known) = &self.known {
+            for (row, col) in [(i, j), (j, i)] {
+                if let Ok(p) = known[row].binary_search_by_key(&col, |e| e.0) {
+                    return Ok(known[row][p].1);
+                }
+            }
+        }
+        self.reads += 1;
+        let v = self.l.entry(i, j);
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(non_finite(i, j))
+        }
+    }
+
+    /// `|Lₘⱼ|` for the partners `j` of aggressor `m` that can decide its
+    /// window. While `L` follows its geometry, partners are read ring by
+    /// ring outward from `m` until `settled(candidates, bound)` holds,
+    /// `bound` being a certified upper bound on `|Lₘⱼ|` for every partner
+    /// not yet read. Otherwise, or when the rings run out unsettled, the
+    /// whole row is read.
+    fn partners(
+        &mut self,
+        m: usize,
+        mut settled: impl FnMut(&mut [(usize, f64)], f64) -> bool,
+    ) -> Result<Vec<(usize, f64)>, CoreError> {
+        let l = self.l;
+        let mut cands = Vec::new();
+        if let Some(index) = l.index() {
+            let mut rings = index.rings(m);
+            let mut ring = Vec::new();
+            let mut read = Vec::new();
+            loop {
+                ring.clear();
+                let clearance = rings.next_ring(&mut ring);
+                for &j in &ring {
+                    if j != m {
+                        let v = self.get(m, j)?;
+                        read.push((j, v));
+                        cands.push((j, v.abs()));
+                    }
+                }
+                if settled(&mut cands, l.coupling_bound(m, clearance)) {
+                    if let Some(known) = &mut self.known {
+                        read.sort_unstable_by_key(|e| e.0);
+                        known[m] = read;
+                    }
+                    return Ok(cands);
+                }
+                if clearance == f64::INFINITY {
+                    break;
+                }
+            }
+            cands.clear();
+        }
+        for j in (0..l.rows()).filter(|&j| j != m) {
+            cands.push((j, self.get(m, j)?.abs()));
+        }
+        Ok(cands)
+    }
+}
+
+/// Orders partners strongest first, ties by ascending index: exactly the
+/// order a stable `total_cmp` sort of the whole row by `|Lₘⱼ|` produces.
+/// `total_cmp` keeps it deterministic even for NaN, which validation
+/// rejects before any sort; `abs()` never yields -0.0 here, so it agrees
+/// with the partial order on every value that can reach it.
+fn rank_strongest_first(cands: &mut [(usize, f64)]) {
+    cands.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+}
+
 /// Geometric windowing (gwVPEC): a uniform window of the `b` most strongly
 /// coupled conductors (by `|Lₘⱼ|`) around each aggressor. For an aligned
 /// parallel bus this is exactly the paper's "coupling window with uniform
 /// size b".
+///
+/// Windows are chosen from the filaments' neighbour index: the search
+/// stops once the `(b−1)`-th strongest coupling read so far strictly
+/// exceeds the decay bound on every unread partner, so a row costs a few
+/// entries rather than `N`, and the windows equal those of a full-row
+/// sort.
 ///
 /// # Errors
 ///
@@ -66,29 +192,40 @@ pub fn windowed_geometric(parasitics: &Parasitics, b: usize) -> Result<VpecModel
             reason: "window size b must be at least 1",
         });
     }
-    validate_inductance(&parasitics.inductance)?;
+    let mut reader = EntryReader::new(&parasitics.inductance)?;
     let n = parasitics.inductance.rows();
-    let l = &parasitics.inductance;
+    let keep = b - 1;
     let mut windows = Vec::with_capacity(n);
     for m in 0..n {
-        let mut others: Vec<usize> = (0..n).filter(|&j| j != m).collect();
-        // `total_cmp` keeps the ordering deterministic even for the NaN
-        // entries `validate_inductance` already rejects above; `abs()`
-        // never produces -0.0 here, so it agrees with the partial order
-        // on every value that can reach this sort.
-        others.sort_by(|&x, &y| l[(m, y)].abs().total_cmp(&l[(m, x)].abs()));
-        let mut idx: Vec<usize> = std::iter::once(m)
-            .chain(others.into_iter().take(b.saturating_sub(1)))
-            .collect();
+        let mut idx = if keep + 1 >= n {
+            (0..n).collect()
+        } else if keep == 0 {
+            vec![m]
+        } else {
+            let mut cands = reader.partners(m, |cands, bound| {
+                if cands.len() < keep {
+                    return false;
+                }
+                rank_strongest_first(cands);
+                cands[keep - 1].1 > bound
+            })?;
+            rank_strongest_first(&mut cands);
+            std::iter::once(m)
+                .chain(cands.iter().take(keep).map(|&(j, _)| j))
+                .collect::<Vec<usize>>()
+        };
         idx.sort_unstable();
         windows.push(idx);
     }
-    windowed_from(parasitics, &windows)
+    windowed_from(parasitics, &windows, &mut reader)
 }
 
 /// Numerical windowing (nwVPEC) for general layouts: the window of
 /// aggressor `m` contains every conductor whose coupling strength
 /// `|Lₘⱼ|/Lₘₘ` reaches `threshold` (the paper uses 1.5e-4 for the spiral).
+///
+/// The neighbour search stops once the decay bound on every unread
+/// partner, divided by `Lₘₘ`, falls below `threshold`.
 ///
 /// # Errors
 ///
@@ -107,31 +244,43 @@ pub fn windowed_numerical(parasitics: &Parasitics, threshold: f64) -> Result<Vpe
             reason: "window threshold must be a nonnegative finite number",
         });
     }
-    validate_inductance(&parasitics.inductance)?;
+    let mut reader = EntryReader::new(&parasitics.inductance)?;
     let n = parasitics.inductance.rows();
-    let l = &parasitics.inductance;
     let mut windows = Vec::with_capacity(n);
     for m in 0..n {
-        let lmm = l[(m, m)];
-        let mut idx: Vec<usize> = (0..n)
-            .filter(|&j| j == m || l[(m, j)].abs() / lmm >= threshold)
+        let lmm = reader.diag[m];
+        let cands = reader.partners(m, |_, bound| bound / lmm < threshold)?;
+        let mut idx: Vec<usize> = std::iter::once(m)
+            .chain(
+                cands
+                    .iter()
+                    .filter(|&&(_, v)| v / lmm >= threshold)
+                    .map(|&(j, _)| j),
+            )
             .collect();
         idx.sort_unstable();
         windows.push(idx);
     }
-    windowed_from(parasitics, &windows)
+    windowed_from(parasitics, &windows, &mut reader)
 }
 
 /// Shared submatrix-solve + merge machinery.
-fn windowed_from(parasitics: &Parasitics, windows: &[Vec<usize>]) -> Result<VpecModel, CoreError> {
+fn windowed_from(
+    parasitics: &Parasitics,
+    windows: &[Vec<usize>],
+    reader: &mut EntryReader<'_>,
+) -> Result<VpecModel, CoreError> {
     let n = parasitics.inductance.rows();
     if n == 0 {
         return Err(CoreError::InvalidParameter {
             reason: "cannot build a VPEC model over zero filaments",
         });
     }
-    let l = &parasitics.inductance;
     let lengths = &parasitics.lengths;
+    // An `L` that follows its geometry is symmetric by construction, so
+    // each window reads its upper triangle and mirrors it; a supplied or
+    // edited matrix is read as it stands.
+    let mirror = parasitics.inductance.index().is_some();
 
     let mut s_diag = vec![0.0f64; n];
     // (i, j) with i < j → (merged S′ candidate, number of windows that
@@ -146,8 +295,18 @@ fn windowed_from(parasitics: &Parasitics, windows: &[Vec<usize>]) -> Result<Vpec
         let pos_m = idx
             .binary_search(&m)
             .expect("aggressor always inside its own window");
-        let sub = l.principal_submatrix(idx);
-        let mut e = vec![0.0; idx.len()];
+        let w = idx.len();
+        let mut sub = DenseMatrix::<f64>::zeros(w, w);
+        for a in 0..w {
+            for c in 0..w {
+                if mirror && c < a {
+                    sub[(a, c)] = sub[(c, a)];
+                } else {
+                    sub[(a, c)] = reader.get(idx[a], idx[c])?;
+                }
+            }
+        }
+        let mut e = vec![0.0; w];
         e[pos_m] = 1.0;
         // The submatrix of an s.p.d. matrix is s.p.d.; fall back to LU for
         // numerically borderline geometry.
@@ -174,6 +333,7 @@ fn windowed_from(parasitics: &Parasitics, windows: &[Vec<usize>]) -> Result<Vpec
             }
         }
     }
+    vpec_trace::counter_add("model.window.l_entries", reader.reads);
 
     let mut g_off: Vec<(usize, usize, f64)> = s_off
         .into_iter()
@@ -193,7 +353,7 @@ fn windowed_from(parasitics: &Parasitics, windows: &[Vec<usize>]) -> Result<Vpec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpec_extract::{extract, ExtractionConfig};
+    use vpec_extract::{extract, ExtractionConfig, PartialInductance};
     use vpec_geometry::{BusSpec, SpiralSpec};
 
     fn bus_parasitics(bits: usize) -> Parasitics {
@@ -201,6 +361,96 @@ mod tests {
             &BusSpec::new(bits).build(),
             &ExtractionConfig::paper_default(),
         )
+    }
+
+    /// The same parasitics three ways: `L` lazy, `L` materialised first
+    /// (the neighbour search then reads the dense matrix), and `L`
+    /// supplied as a plain matrix, which has no geometry and so takes the
+    /// whole-row path: the reference selection, a full sort of each row.
+    fn three_ways(layout: &vpec_geometry::Layout) -> [Parasitics; 3] {
+        let lazy = extract(layout, &ExtractionConfig::paper_default());
+        let dense_first = lazy.clone();
+        let _ = dense_first.inductance.dense();
+        let mut whole_row = lazy.clone();
+        whole_row.inductance = PartialInductance::from(dense_first.inductance.dense().clone());
+        assert!(!lazy.inductance.is_materialized());
+        [lazy, dense_first, whole_row]
+    }
+
+    fn assert_same_model(a: &VpecModel, b: &VpecModel, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.g_diag()), bits(b.g_diag()), "{what}: g_diag");
+        let off = |m: &VpecModel| {
+            m.g_off()
+                .iter()
+                .map(|&(i, j, v)| (i, j, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(off(a), off(b), "{what}: g_off");
+    }
+
+    fn assert_geometric_bit_identical(layout: &vpec_geometry::Layout, sizes: &[usize]) {
+        let [lazy, dense_first, whole_row] = three_ways(layout);
+        for &b in sizes {
+            let want = windowed_geometric(&whole_row, b).unwrap();
+            let got = windowed_geometric(&lazy, b).unwrap();
+            assert_same_model(&got, &want, &format!("lazy gwVPEC b={b}"));
+            // At b = N every window is the whole matrix and there is
+            // nothing to select; skip the third (slow, in debug) solve.
+            if b < layout.filaments().len() {
+                let got = windowed_geometric(&dense_first, b).unwrap();
+                assert_same_model(&got, &want, &format!("materialised gwVPEC b={b}"));
+            }
+        }
+        assert!(
+            !lazy.inductance.is_materialized(),
+            "gwVPEC must not build L"
+        );
+    }
+
+    fn assert_numerical_bit_identical(layout: &vpec_geometry::Layout, thresholds: &[f64]) {
+        let [lazy, dense_first, whole_row] = three_ways(layout);
+        for &t in thresholds {
+            let want = windowed_numerical(&whole_row, t).unwrap();
+            let got = windowed_numerical(&lazy, t).unwrap();
+            assert_same_model(&got, &want, &format!("lazy nwVPEC {t:e}"));
+            let got = windowed_numerical(&dense_first, t).unwrap();
+            assert_same_model(&got, &want, &format!("materialised nwVPEC {t:e}"));
+        }
+        assert!(
+            !lazy.inductance.is_materialized(),
+            "nwVPEC must not build L"
+        );
+    }
+
+    #[test]
+    fn lazy_gwvpec_is_bit_identical_on_the_fig4_bus() {
+        // b = N would solve 2048 dense 2048×2048 windows; b = N is covered
+        // on the smaller layouts below.
+        assert_geometric_bit_identical(&BusSpec::new(2048).build(), &[1, 2, 4, 8]);
+    }
+
+    #[test]
+    fn lazy_gwvpec_is_bit_identical_on_segmented_shielded_and_spiral_layouts() {
+        let layouts = [
+            BusSpec::new(32).segments(8).build(),
+            BusSpec::new(12).segments(4).misalignment(0.5).build(),
+            BusSpec::new(16).segments(2).shield_every(4).build(),
+            SpiralSpec::new(2).build(),
+        ];
+        for layout in &layouts {
+            let n = layout.filaments().len();
+            assert_geometric_bit_identical(layout, &[1, 2, 4, 8, n]);
+        }
+    }
+
+    #[test]
+    fn lazy_nwvpec_is_bit_identical() {
+        assert_numerical_bit_identical(&SpiralSpec::new(2).build(), &[1.5e-4]);
+        assert_numerical_bit_identical(
+            &BusSpec::new(16).build(),
+            &[0.0, 1e-6, 1e-3, 0.05, 0.2, 0.3, 1.0],
+        );
     }
 
     #[test]

@@ -1,15 +1,22 @@
-//! A two-level model cache keyed by geometry content hash.
+//! A three-level model cache keyed by the inputs of each stage.
 //!
 //! Batch streams routinely repeat the same geometry across model kinds
 //! and analyses (a sweep over kinds, or repeated requests for the same
-//! bus). The cache shares the two expensive stages:
+//! bus). The cache shares the expensive stages:
 //!
-//! - **Level 1** — `layout.content_hash()` → extracted [`Experiment`]
-//!   (the O(N²) extraction runs once per distinct geometry);
-//! - **Level 2** — `(hash, kind label)` → built model (the O(N³)
+//! - **Level 1** — a hash of `layout.content_hash()`, the
+//!   [`ExtractionConfig`] and the [`DriveConfig`] → extracted
+//!   [`Experiment`]. The entry stores all three inputs and a hit compares
+//!   them, so a hash collision or a changed configuration is a miss, never
+//!   a stale answer. Extraction itself is O(N): the partial inductance
+//!   `L` stays unevaluated until a kind needs it whole (PEEC, full or
+//!   truncated VPEC), and the one dense `L` built then is shared by every
+//!   later kind on the same entry through the `Arc`. Windowed kinds read
+//!   window entries only and never build it.
+//! - **Level 2** — `(key, kind label)` → built model (the O(N³)
 //!   inversion and netlist lowering run once per distinct
-//!   geometry × kind);
-//! - **Level 3** — `(hash, kind label, dt bits, solver)` → prepared
+//!   experiment × kind);
+//! - **Level 3** — `(key, kind label, dt bits, solver)` → prepared
 //!   transient factorization ([`vpec_circuit::TransientFactor`]): the
 //!   factor-once/solve-many layer, so repeated transient requests for
 //!   the same model pay the MNA factorization and DC solve once.
@@ -25,7 +32,9 @@
 //! injected faults change behaviour, not geometry, so neither their
 //! results nor their side effects may be shared.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use vpec_circuit::{SolverKind, TransientFactor, TransientSpec};
 use vpec_core::harness::{BuiltModel, Experiment, ModelKind};
@@ -34,11 +43,29 @@ use vpec_extract::ExtractionConfig;
 use vpec_geometry::Layout;
 use vpec_numerics::CancelToken;
 
+/// A level-1 entry: the experiment and the extraction configuration it
+/// was built with (the layout and drive live in the experiment).
+#[derive(Debug)]
+struct ExperimentEntry {
+    config: ExtractionConfig,
+    exp: Arc<Experiment>,
+}
+
+/// The level-1 key: the layout's content hash combined with every field
+/// of both configurations (their `Debug` forms print each `f64` exactly).
+fn experiment_key(layout_hash: u64, config: &ExtractionConfig, drive: &DriveConfig) -> u64 {
+    let mut h = DefaultHasher::new();
+    layout_hash.hash(&mut h);
+    format!("{config:?}").hash(&mut h);
+    format!("{drive:?}").hash(&mut h);
+    h.finish()
+}
+
 /// The cache. One per [`crate::Engine`]; requests run sequentially, so no
 /// interior locking is needed.
 #[derive(Debug, Default)]
 pub struct ModelCache {
-    experiments: HashMap<u64, Arc<Experiment>>,
+    experiments: HashMap<u64, ExperimentEntry>,
     models: HashMap<(u64, String), Arc<BuiltModel>>,
     factors: HashMap<(u64, String, u64, SolverKind), Arc<TransientFactor>>,
     hits: u64,
@@ -78,21 +105,34 @@ impl ModelCache {
         self.experiments.len()
     }
 
-    /// Returns the extracted experiment for `layout`, extracting on first
-    /// sight. The boolean is `true` on a cache hit.
+    /// Returns the extracted experiment for `(layout, config, drive)`,
+    /// extracting on first sight, and the key levels 2 and 3 file its
+    /// models and factors under. The boolean is `true` on a cache hit: the
+    /// entry under the key was built from equal inputs. On a miss an entry
+    /// already under the key (a hash collision) is replaced, and the
+    /// models and factors built from it are dropped with it.
     pub fn experiment_for(
         &mut self,
         layout: Layout,
         config: &ExtractionConfig,
         drive: DriveConfig,
     ) -> (u64, Arc<Experiment>, bool) {
-        let hash = layout.content_hash();
-        if let Some(exp) = self.experiments.get(&hash) {
-            return (hash, Arc::clone(exp), true);
+        let key = experiment_key(layout.content_hash(), config, &drive);
+        if let Some(e) = self.experiments.get(&key) {
+            if e.config == *config && e.exp.drive == drive && e.exp.layout == layout {
+                return (key, Arc::clone(&e.exp), true);
+            }
         }
         let exp = Arc::new(Experiment::new(layout, config, drive));
-        self.experiments.insert(hash, Arc::clone(&exp));
-        (hash, exp, false)
+        let entry = ExperimentEntry {
+            config: config.clone(),
+            exp: Arc::clone(&exp),
+        };
+        if self.experiments.insert(key, entry).is_some() {
+            self.models.retain(|(k, _), _| *k != key);
+            self.factors.retain(|(k, ..), _| *k != key);
+        }
+        (key, exp, false)
     }
 
     /// Returns the built model for `(hash, kind)`, building (with
@@ -203,6 +243,58 @@ mod tests {
             .unwrap();
         assert!(!hit);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    #[test]
+    fn a_different_extraction_config_is_a_miss() {
+        let mut cache = ModelCache::new();
+        let drive = DriveConfig::paper_default;
+        let plain = ExtractionConfig::paper_default();
+        let skin = ExtractionConfig::paper_default().with_skin_effect();
+        let (h1, e1, hit) = cache.experiment_for(BusSpec::new(4).build(), &plain, drive());
+        assert!(!hit);
+        let (h2, e2, hit) = cache.experiment_for(BusSpec::new(4).build(), &skin, drive());
+        assert!(!hit, "same layout under another ExtractionConfig must miss");
+        assert_ne!(h1, h2);
+        assert!(!Arc::ptr_eq(&e1, &e2));
+        // A different drive is a different experiment too.
+        let quiet = drive().aggressors(vec![1]);
+        let (_, _, hit) = cache.experiment_for(BusSpec::new(4).build(), &plain, quiet);
+        assert!(!hit);
+        // And the original inputs still hit their own entry.
+        let (h3, e3, hit) = cache.experiment_for(BusSpec::new(4).build(), &plain, drive());
+        assert!(hit && h3 == h1 && Arc::ptr_eq(&e1, &e3));
+        assert_eq!(cache.experiments_len(), 3);
+    }
+
+    #[test]
+    fn a_key_collision_is_a_miss_and_drops_the_stale_models() {
+        let mut cache = ModelCache::new();
+        let cfg = ExtractionConfig::paper_default();
+        let token = CancelToken::none();
+        let (key, exp, _) =
+            cache.experiment_for(BusSpec::new(4).build(), &cfg, DriveConfig::paper_default());
+        let kind = ModelKind::WVpecGeometric { b: 2 };
+        cache.model_for(key, &exp, kind, &token).unwrap();
+        // Forge a collision: another layout's experiment under this key.
+        let other = Arc::new(Experiment::new(
+            BusSpec::new(6).build(),
+            &cfg,
+            DriveConfig::paper_default(),
+        ));
+        cache.experiments.insert(
+            key,
+            ExperimentEntry {
+                config: cfg.clone(),
+                exp: other,
+            },
+        );
+        let (k2, exp2, hit) =
+            cache.experiment_for(BusSpec::new(4).build(), &cfg, DriveConfig::paper_default());
+        assert!(!hit, "a colliding entry must not answer");
+        assert_eq!((k2, exp2.layout.filaments().len()), (key, 4));
+        let (_, hit) = cache.model_for(key, &exp2, kind, &token).unwrap();
+        assert!(!hit, "models built from the displaced entry must be gone");
     }
 
     #[test]

@@ -91,6 +91,47 @@ pub fn mutual_inductance(a: &Filament, b: &Filament) -> f64 {
     m * a.direction * b.direction
 }
 
+/// Upper bound on `|mutual_inductance(a, b)|` for a filament `a` of
+/// length `len_a` and any filament `b` parallel to it, no longer than
+/// `max_len`, whose centreline lies at least `radial` from `a`'s (henries):
+///
+/// ```text
+/// |M| ≤ (μ₀/4π) · l_a · 2·asinh(max_len / (2·radial))
+/// ```
+///
+/// The Neumann integrand `1/√(u² + d²)` decays monotonically in `|u|`, so
+/// for each point of `a` the integral over `b`'s span is largest when that
+/// span is centred on the point, where it equals `2·asinh(l_b/2d)`. The
+/// coupling distance `d` of [`mutual_inductance`] is never below the
+/// centreline distance (the cross-section spread and the GMD floor only
+/// raise it), and the bound grows with `l_b`. A non-positive or NaN
+/// `radial` certifies nothing and returns infinity.
+///
+/// This bounds the exact integral; the rounding of the closed form sits on
+/// top of it (see `PartialInductance::coupling_bound`).
+pub fn mutual_inductance_bound(len_a: f64, max_len: f64, radial: f64) -> f64 {
+    if radial.is_nan() || radial <= 0.0 {
+        return f64::INFINITY;
+    }
+    MU0_OVER_4PI * len_a * 2.0 * (max_len / (2.0 * radial)).asinh()
+}
+
+/// Largest rounding error of [`mutual_inductance`] over filaments whose
+/// coordinates all lie within `coord` of the origin, whose radial
+/// distances stay below `radial_max`, and whose self-GMD is at least
+/// `gmd_min` (henries).
+///
+/// Each of the four `G(u) = u·asinh(u/d) − √(u²+d²)` terms is at most
+/// `T = U·asinh(U/d_min) + √(U² + D²)` in magnitude with `U = 2·coord`;
+/// evaluating one, including the rounding of `d` it inherits, costs a few
+/// ulps of `T`, and the cancelling four-term sum a few more. 128 ulps of
+/// `T` covers all of it with room to spare.
+pub(crate) fn mutual_rounding_slack(coord: f64, radial_max: f64, gmd_min: f64) -> f64 {
+    let u = 2.0 * coord;
+    let t = u * (u / gmd_min).asinh() + (u * u + radial_max * radial_max).sqrt();
+    MU0_OVER_4PI * 128.0 * f64::EPSILON * t
+}
+
 /// Mutual partial inductance the two filaments *would* have at radial
 /// centerline distance `d_override` (same spans, same cross sections,
 /// same direction signs). Used by shell-based sparsification baselines

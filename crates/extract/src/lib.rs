@@ -20,10 +20,16 @@
 //!   ([`resistance`]).
 //!
 //! The top-level entry point is [`extract`], which maps a
-//! [`vpec_geometry::Layout`] to [`Parasitics`]: the dense partial-inductance
+//! [`vpec_geometry::Layout`] to [`Parasitics`]: the partial-inductance
 //! matrix `L` (including antiparallel coupling signs), per-filament series
 //! resistance, per-filament ground capacitance, and adjacent coupling
 //! capacitances.
+//!
+//! `L` is dense — every parallel pair couples — but [`extract`] does not
+//! build it. [`PartialInductance`] evaluates entries on demand, bit for
+//! bit as the dense assembly would, and builds the full matrix once, the
+//! first time a consumer dereferences it. The windowed models read only
+//! their window entries and never pay the `O(N²)` matrix.
 //!
 //! # Example
 //!
@@ -34,8 +40,13 @@
 //! let layout = BusSpec::new(5).build();
 //! let para = extract(&layout, &ExtractionConfig::paper_default());
 //! assert_eq!(para.inductance.rows(), 5);
-//! // Partial inductance is dense: every pair couples.
-//! assert!(para.inductance[(0, 4)] > 0.0);
+//! // Partial inductance is dense: every pair couples. Single entries
+//! // are evaluated on demand…
+//! assert!(para.inductance.entry(0, 4) > 0.0);
+//! assert!(!para.inductance.is_materialized());
+//! // …and indexing builds the full matrix, once, with the same values.
+//! assert_eq!(para.inductance[(0, 4)], para.inductance.entry(0, 4));
+//! assert!(para.inductance.is_materialized());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,9 +62,11 @@ pub mod volume;
 mod config;
 mod error;
 mod parasitics;
+mod partial;
 
 pub use captable::CapTable;
 pub use config::ExtractionConfig;
 pub use error::ExtractError;
 pub use impedance::ConductorSystem;
 pub use parasitics::{extract, Parasitics};
+pub use partial::PartialInductance;

@@ -1,14 +1,13 @@
 //! The extraction pipeline: [`Layout`] → [`Parasitics`].
 
 use crate::capacitance::{coupling_capacitance, ground_capacitance};
-use crate::inductance::partial_inductance_matrix;
 use crate::resistance::{ac_resistance, dc_resistance, substrate_loss_resistance};
-use crate::ExtractionConfig;
+use crate::{ExtractionConfig, PartialInductance};
 use vpec_geometry::Layout;
-use vpec_numerics::{pool, DenseMatrix, Pool};
+use vpec_numerics::{pool, Pool};
 
 /// Minimum filaments per worker before the per-filament tables and the
-/// O(n²) coupling scan go parallel. `BENCH_perf.json` measured parallel
+/// coupling scan go parallel. `BENCH_perf.json` measured parallel
 /// extraction at 0.29–0.88 of serial speed through 224 filaments, so
 /// small layouts stay serial.
 const EXTRACT_MIN_ITEMS_PER_THREAD: usize = 64;
@@ -17,12 +16,15 @@ const EXTRACT_MIN_ITEMS_PER_THREAD: usize = 64;
 /// [`Layout::filaments`] order.
 ///
 /// This is the input to both the PEEC model builder (which stamps `L`
-/// directly as coupled inductors) and the VPEC builders (which invert it).
+/// directly as coupled inductors) and the VPEC builders (which invert it,
+/// or solve windows of it).
 #[derive(Debug, Clone)]
 pub struct Parasitics {
-    /// Dense partial-inductance matrix `L` (henries), symmetric, with
-    /// direction signs applied to mutual terms.
-    pub inductance: DenseMatrix<f64>,
+    /// Partial-inductance matrix `L` (henries), symmetric, with direction
+    /// signs applied to mutual terms. Evaluated on demand: the windowed
+    /// builders read single entries, and the dense matrix is built once
+    /// by the first consumer that dereferences it.
+    pub inductance: PartialInductance,
     /// Per-filament series resistance (ohms).
     pub resistance: Vec<f64>,
     /// Per-filament capacitance to ground (farads).
@@ -64,6 +66,11 @@ impl Parasitics {
 /// only (within `config.cap_coupling_range`), per-filament series
 /// resistance with optional skin correction, and lossy-substrate eddy loss
 /// lumped into the series resistance when a substrate is configured.
+///
+/// Extraction is O(N) in time and memory for bounded coupling ranges: the
+/// inductance is returned unevaluated ([`PartialInductance`]), and the
+/// capacitive pairs come from the filaments' neighbour index rather than
+/// a scan over all pairs.
 pub fn extract(layout: &Layout, config: &ExtractionConfig) -> Parasitics {
     // Injected fault: a deliberate panic at the earliest pipeline stage,
     // isolated by the engine's catch_unwind request boundary in tests.
@@ -82,7 +89,7 @@ pub fn extract(layout: &Layout, config: &ExtractionConfig) -> Parasitics {
         "workers" => nt,
     );
 
-    let inductance = partial_inductance_matrix(fils);
+    let inductance = PartialInductance::new(fils);
 
     // Per-filament tables: independent per entry, mapped in order.
     let tables_span = vpec_trace::span("extract.tables");
@@ -110,17 +117,21 @@ pub fn extract(layout: &Layout, config: &ExtractionConfig) -> Parasitics {
     drop(tables_span);
 
     // Coupling scan: each worker owns the row `i` of the (i, j>i) pair
-    // space; flattening row results in index order reproduces the serial
-    // pair ordering exactly.
+    // space and takes its candidates from the neighbour index (a superset
+    // of the parallel filaments in range), sorted into index order, so
+    // flattening row results reproduces the all-pairs scan exactly.
     let coupling_span = vpec_trace::span("extract.coupling");
+    let index = inductance.filament_index();
     let cap_coupling: Vec<(usize, usize, f64)> = pool
         .par_map_index(n, |i| {
             let a = &fils[i];
+            let mut near = Vec::new();
+            index.near(i, config.cap_coupling_range, &mut near);
+            near.retain(|&j| j > i);
+            near.sort_unstable();
             let mut row = Vec::new();
-            for (j, b) in fils.iter().enumerate().skip(i + 1) {
-                if !a.is_parallel_to(b) {
-                    continue;
-                }
+            for j in near {
+                let b = &fils[j];
                 if a.radial_distance_to(b) > config.cap_coupling_range {
                     continue;
                 }
@@ -175,6 +186,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Reference: the capacitive-coupling scan over all pairs.
+    fn all_pairs_coupling(layout: &Layout, config: &ExtractionConfig) -> Vec<(usize, usize, f64)> {
+        let fils = layout.filaments();
+        let mut out = Vec::new();
+        for (i, a) in fils.iter().enumerate() {
+            for (j, b) in fils.iter().enumerate().skip(i + 1) {
+                if !a.is_parallel_to(b) || a.radial_distance_to(b) > config.cap_coupling_range {
+                    continue;
+                }
+                let c = coupling_capacitance(a, b, config.ground_height, config.eps_r);
+                if c > 0.0 {
+                    out.push((i, j, c));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn indexed_coupling_scan_equals_all_pairs_scan() {
+        let layouts = [
+            BusSpec::new(64).build(),
+            BusSpec::new(32).segments(8).build(),
+            BusSpec::new(12).segments(4).misalignment(0.5).build(),
+            BusSpec::new(16).segments(2).shield_every(4).build(),
+            SpiralSpec::new(2).build(),
+            SpiralSpec::paper_three_turn().build(),
+        ];
+        for layout in &layouts {
+            for range in [0.0, um(3.0), um(7.0), um(50.0), f64::INFINITY, f64::NAN] {
+                let mut cfg = ExtractionConfig::paper_default();
+                cfg.cap_coupling_range = range;
+                let p = extract(layout, &cfg);
+                assert_eq!(
+                    p.cap_coupling,
+                    all_pairs_coupling(layout, &cfg),
+                    "range {range:e}, {} filaments",
+                    layout.filaments().len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn extraction_does_not_build_the_inductance_matrix() {
+        let p = extract(&BusSpec::new(8).build(), &ExtractionConfig::paper_default());
+        assert!(!p.inductance.is_materialized());
     }
 
     #[test]

@@ -41,11 +41,18 @@ fn inductance_assembly_matches_serial() {
 fn full_extraction_matches_serial() {
     let layout = BusSpec::new(10).segments(4).shield_every(3).build();
     let cfg = ExtractionConfig::paper_default();
+    // `extract` leaves `L` unevaluated; build it under the same worker
+    // count as the rest of the extraction.
+    let extract_dense = || {
+        let p = extract(&layout, &cfg);
+        let _ = p.inductance.dense();
+        p
+    };
     pool::set_threads(1);
-    let serial = extract(&layout, &cfg);
+    let serial = extract_dense();
     for nt in THREAD_COUNTS {
         pool::set_threads(nt);
-        let par = extract(&layout, &cfg);
+        let par = extract_dense();
         assert_close(
             serial.inductance.as_slice(),
             par.inductance.as_slice(),

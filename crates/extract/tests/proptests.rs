@@ -3,9 +3,12 @@
 //! builds offline, without `proptest`).
 
 use vpec_extract::capacitance::{coupling_capacitance, ground_capacitance, overlap_length};
-use vpec_extract::inductance::{mutual_inductance, partial_inductance_matrix, self_inductance};
+use vpec_extract::inductance::{
+    mutual_inductance, mutual_inductance_bound, partial_inductance_matrix, self_inductance,
+};
 use vpec_extract::resistance::{ac_resistance, dc_resistance};
-use vpec_geometry::{um, Axis, Filament};
+use vpec_extract::PartialInductance;
+use vpec_geometry::{um, Axis, BusSpec, Filament, SpiralSpec};
 use vpec_numerics::rng::XorShift64;
 
 const CASES: usize = 128;
@@ -174,5 +177,108 @@ fn coupling_cap_needs_overlap() {
         };
         assert_eq!(overlap_length(&a, &b), 0.0);
         assert_eq!(coupling_capacitance(&a, &b, um(1.0), 2.0), 0.0);
+    }
+}
+
+/// A random filament parallel to `a`: any span and offset along the axis,
+/// any cross section and current direction, at lateral offsets from
+/// collinear (0) out to `reach`.
+fn parallel_partner(rng: &mut XorShift64, a: &Filament, reach: f64) -> Filament {
+    let lateral = if rng.chance(0.2) {
+        [0.0, 0.0]
+    } else {
+        [rng.range_f64(-reach, reach), rng.range_f64(-reach, reach)]
+    };
+    let f = Filament::new(
+        [
+            a.origin[0] + um(rng.range_f64(-3000.0, 3000.0)),
+            a.origin[1] + lateral[0],
+            a.origin[2] + lateral[1],
+        ],
+        Axis::X,
+        um(rng.range_f64(1.0, 2000.0)),
+        um(rng.range_f64(0.1, 6.0)),
+        um(rng.range_f64(0.1, 6.0)),
+    );
+    f.with_direction(if rng.chance(0.5) { -1.0 } else { 1.0 })
+}
+
+#[test]
+fn decay_bound_never_below_mutual() {
+    let mut rng = XorShift64::new(0x4010);
+    for _ in 0..4 * CASES {
+        let a = filament(&mut rng).with_direction(if rng.chance(0.5) { -1.0 } else { 1.0 });
+        for reach in [um(5.0), um(200.0), um(5000.0)] {
+            let b = parallel_partner(&mut rng, &a, reach);
+            let m = mutual_inductance(&a, &b).abs();
+            let r = a.radial_distance_to(&b);
+            for max_len in [b.length, 2.0 * b.length] {
+                let bound = mutual_inductance_bound(a.length, max_len, r);
+                assert!(
+                    bound >= m,
+                    "bound {bound} < |M| {m} at radial {r}: {a:?} {b:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn coupling_bound_covers_rounding_at_any_distance() {
+    // Far pairs: the closed form cancels four O(d) terms down to
+    // O(l²/d), so its rounding outgrows the analytic bound's margin. The
+    // certified bound adds the worst-case rounding for the layout.
+    let mut rng = XorShift64::new(0x4011);
+    for _ in 0..CASES {
+        let mut fils = Vec::new();
+        for _ in 0..8 {
+            let f = Filament::new(
+                [
+                    um(rng.range_f64(-100.0, 100.0)),
+                    rng.range_f64(-0.5, 0.5),
+                    um(rng.range_f64(-20.0, 20.0)),
+                ],
+                Axis::X,
+                um(rng.range_f64(1.0, 100.0)),
+                um(rng.range_f64(0.1, 4.0)),
+                um(rng.range_f64(0.1, 4.0)),
+            );
+            fils.push(f.with_direction(if rng.chance(0.5) { -1.0 } else { 1.0 }));
+        }
+        let l = PartialInductance::new(&fils);
+        for m in 0..fils.len() {
+            for j in 0..fils.len() {
+                if j != m {
+                    let r = fils[m].radial_distance_to(&fils[j]);
+                    let bound = l.coupling_bound(m, r);
+                    assert!(bound >= l.entry(m, j).abs(), "({m}, {j}) at radial {r}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lazy_entries_are_bit_identical_to_the_dense_matrix() {
+    let layouts = [
+        BusSpec::new(24).segments(3).misalignment(0.4).build(),
+        BusSpec::new(10).segments(2).shield_every(3).build(),
+        SpiralSpec::new(2).build(),
+        SpiralSpec::paper_three_turn().build(),
+    ];
+    for layout in &layouts {
+        let fils = layout.filaments();
+        let dense = partial_inductance_matrix(fils);
+        let lazy = PartialInductance::new(fils);
+        for i in 0..fils.len() {
+            for j in 0..fils.len() {
+                assert_eq!(
+                    lazy.entry(i, j).to_bits(),
+                    dense[(i, j)].to_bits(),
+                    "({i}, {j})"
+                );
+            }
+        }
+        assert!(!lazy.is_materialized());
     }
 }

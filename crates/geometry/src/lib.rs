@@ -13,6 +13,10 @@
 //! to skin depth and longitudinal segmentation at one-tenth of the
 //! wavelength at the maximum operating frequency ([`discretize`]).
 //!
+//! [`FilamentIndex`] buckets filament centrelines on a grid so that
+//! extraction and windowing can find a filament's near neighbours without
+//! visiting every pair ([`index`]).
+//!
 //! # Example
 //!
 //! ```
@@ -34,12 +38,14 @@
 mod bus;
 pub mod discretize;
 mod filament;
+pub mod index;
 mod layout;
 mod spiral;
 mod units;
 
 pub use bus::BusSpec;
 pub use filament::{Axis, Filament};
+pub use index::FilamentIndex;
 pub use layout::{Layout, Net, NetId, NetKind};
 pub use spiral::{SpiralSpec, SubstrateSpec};
 pub use units::{mm, nm, um, GHZ, MHZ};

@@ -164,6 +164,22 @@ set -e
 grep -q 'fail-if breached' target/batch_smoke_failif.txt \
   || { echo "vpec stats --fail-if breach must name the breached condition" >&2; exit 1; }
 
+echo "==> large-bus smoke run (100 000-bit gwVPEC transient without the dense L)"
+# The windowed kinds read window entries of the partial inductance only;
+# the dense L of this bus alone would be 80 GB. A 4 GiB address-space cap
+# turns any accidental O(N^2) allocation into a failure, and the timeout
+# catches an accidental O(N^2) loop. One worker keeps the address space
+# independent of the host's core count (each thread reserves its own
+# stack and allocator arena).
+big_out="target/big_bus_smoke.txt"
+( ulimit -v 4194304
+  env VPEC_THREADS=1 timeout 300 ./target/release/vpec simulate --bits 100000 \
+    --kind wvpec-g:8 --tstop 20p --dt 1p --probe 1,2 > "$big_out" )
+for net in 1 2; do
+  grep -q "^net $net: far-end peak" "$big_out" \
+    || { echo "large-bus smoke: no peak reported for net $net" >&2; cat "$big_out" >&2; exit 1; }
+done
+
 echo "==> trace JSONL smoke run (model --trace=jsonl, schema validation)"
 trace_jsonl="target/trace_smoke.jsonl"
 cargo run --release -q -p vpec-cli --bin vpec -- \
