@@ -1,8 +1,5 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! * **Netlist realization** — the paper's Fig. 1 lowering (dummy ammeter
-//!   per filament, HSPICE-exportable) vs the compact lowering (CCCS senses
-//!   the VCVS branch; one node and one branch fewer per filament);
 //! * **Solver backend** — dense LU vs RCM-ordered sparse LU on the same
 //!   sparsified-VPEC netlist;
 //! * **Time stepping** — fixed-step trapezoidal (factor once) vs adaptive
@@ -14,8 +11,7 @@ use vpec_circuit::adaptive::{run_transient_adaptive, AdaptiveSpec};
 use vpec_circuit::transient::run_transient;
 use vpec_circuit::{SolverKind, TransientSpec};
 use vpec_core::harness::{Experiment, ModelKind};
-use vpec_core::lower::build_vpec_styled;
-use vpec_core::{DriveConfig, LoweringStyle, VpecModel};
+use vpec_core::DriveConfig;
 use vpec_extract::ExtractionConfig;
 use vpec_geometry::BusSpec;
 
@@ -25,26 +21,6 @@ fn experiment(bits: usize) -> Experiment {
         &ExtractionConfig::paper_default(),
         DriveConfig::paper_default(),
     )
-}
-
-fn bench_realization(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation-realization");
-    g.sample_size(10);
-    let exp = experiment(32);
-    let model = VpecModel::full(&exp.parasitics).expect("invertible");
-    let spec = TransientSpec::new(0.2e-9, 1e-12);
-    for style in [LoweringStyle::PaperFig1, LoweringStyle::Compact] {
-        let mc = build_vpec_styled(&exp.layout, &exp.parasitics, &model, &exp.drive, style)
-            .expect("lowering");
-        let label = match style {
-            LoweringStyle::PaperFig1 => "paper-fig1",
-            LoweringStyle::Compact => "compact",
-        };
-        g.bench_with_input(BenchmarkId::new(label, 32), &mc, |b, mc| {
-            b.iter(|| run_transient(&mc.circuit, &spec).expect("transient"));
-        });
-    }
-    g.finish();
 }
 
 fn bench_solver_backend(c: &mut Criterion) {
@@ -99,5 +75,5 @@ fn bench_stepping(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_realization, bench_solver_backend, bench_stepping);
+criterion_group!(benches, bench_solver_backend, bench_stepping);
 criterion_main!(benches);

@@ -15,6 +15,7 @@
 //! corrector; the step is halved when the discrepancy exceeds `tol` and
 //! doubled when it stays below `tol/16` for a full step.
 
+use crate::companion::Companions;
 use crate::dc::solve_dc_with;
 use crate::elements::Element;
 use crate::error::CircuitError;
@@ -73,22 +74,6 @@ pub struct AdaptiveStats {
     pub factorizations: usize,
 }
 
-struct CapState {
-    ia: Option<usize>,
-    ib: Option<usize>,
-    c: f64,
-    v_prev: f64,
-    i_prev: f64,
-}
-
-struct IndState {
-    br: usize,
-    ia: Option<usize>,
-    ib: Option<usize>,
-    couplings: Vec<(usize, f64)>,
-    v_prev: f64,
-}
-
 /// Runs the adaptive transient from the DC operating point.
 ///
 /// # Errors
@@ -125,46 +110,7 @@ pub fn run_transient_adaptive(
     let mut x = dc.x;
 
     // Element states (trapezoidal companions).
-    let mut caps: Vec<CapState> = Vec::new();
-    let mut inds: Vec<IndState> = Vec::new();
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        match e {
-            Element::Capacitor { a, b, c, .. } => {
-                let ia = layout.node_idx(*a);
-                let ib = layout.node_idx(*b);
-                let va = ia.map_or(0.0, |i| x[i]);
-                let vb = ib.map_or(0.0, |i| x[i]);
-                caps.push(CapState {
-                    ia,
-                    ib,
-                    c: *c,
-                    v_prev: va - vb,
-                    i_prev: 0.0,
-                });
-            }
-            Element::Inductor { a, b, l, .. } => {
-                let br = layout.branch_idx(idx);
-                inds.push(IndState {
-                    br,
-                    ia: layout.node_idx(*a),
-                    ib: layout.node_idx(*b),
-                    couplings: vec![(br, *l)],
-                    v_prev: 0.0,
-                });
-            }
-            _ => {}
-        }
-    }
-    let br_to_ind: HashMap<usize, usize> =
-        inds.iter().enumerate().map(|(k, s)| (s.br, k)).collect();
-    for e in ckt.elements() {
-        if let Element::Mutual { la, lb, m, .. } = e {
-            let ba = layout.branch_idx(la.0);
-            let bb = layout.branch_idx(lb.0);
-            inds[br_to_ind[&ba]].couplings.push((bb, *m));
-            inds[br_to_ind[&bb]].couplings.push((ba, *m));
-        }
-    }
+    let mut companions = Companions::new(ckt, &layout, &x);
 
     // Factor cache keyed by the dt ladder (exact bits of dt).
     let mut cache: HashMap<u64, Factored<f64>> = HashMap::new();
@@ -214,22 +160,7 @@ pub fn run_transient_adaptive(
                 _ => {}
             }
         }
-        for s in &caps {
-            let hist = coef * s.c * s.v_prev + s.i_prev;
-            if let Some(ia) = s.ia {
-                rhs[ia] += hist;
-            }
-            if let Some(ib) = s.ib {
-                rhs[ib] -= hist;
-            }
-        }
-        for s in &inds {
-            let mut flux = 0.0;
-            for &(col, l) in &s.couplings {
-                flux += l * x[col];
-            }
-            rhs[s.br] = -s.v_prev - coef * flux;
-        }
+        companions.history(&mut rhs, &x, coef, true);
 
         let x_new = factored.solve(&rhs)?;
 
@@ -260,19 +191,7 @@ pub fn run_transient_adaptive(
         }
 
         // Accept: update companions and history.
-        for s in &mut caps {
-            let va = s.ia.map_or(0.0, |i| x_new[i]);
-            let vb = s.ib.map_or(0.0, |i| x_new[i]);
-            let v_new = va - vb;
-            let i_new = coef * s.c * (v_new - s.v_prev) - s.i_prev;
-            s.v_prev = v_new;
-            s.i_prev = i_new;
-        }
-        for s in &mut inds {
-            let va = s.ia.map_or(0.0, |i| x_new[i]);
-            let vb = s.ib.map_or(0.0, |i| x_new[i]);
-            s.v_prev = va - vb;
-        }
+        companions.accept(&x_new, coef, true);
         x_prev = Some((dt_eff, x.clone()));
         x = x_new;
         t = t_new;

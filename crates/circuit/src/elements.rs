@@ -9,9 +9,10 @@ pub struct ElementId(pub usize);
 
 /// A netlist element.
 ///
-/// Branch-type elements (voltage sources, inductors, VCVS, CCVS) introduce
-/// an extra MNA unknown for their branch current; current-controlled
-/// sources (`Cccs`, `Ccvs`) sense the branch current of such an element.
+/// Branch-type elements (voltage sources, inductors, VCVS, CCVS, VPEC
+/// filaments) introduce an extra MNA unknown for their branch current;
+/// current-controlled sources (`Cccs`, `Ccvs`) sense the branch current of
+/// such an element.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Element {
@@ -147,6 +148,28 @@ pub enum Element {
         /// Transresistance in ohms.
         r: f64,
     },
+    /// One VPEC filament stamped natively: a segment current `I` flowing
+    /// a → b whose inductive drop is `v_a − v_b = len·dA/dt`, where `A` is
+    /// the voltage of the magnetic node `mag`, into which the element
+    /// injects `len·I`. The magnetic network between the `mag` nodes
+    /// (resistors realizing `Ĝ`) closes `Ĝ·A = len∘I`.
+    ///
+    /// Electrically identical to the paper's Fig. 1 realization (0 V
+    /// ammeter, VCVS, CCCS, VCCS and unit inductor per filament), which
+    /// [`crate::spice_out::fig1_realization`] rebuilds for export, at two
+    /// MNA unknowns per filament instead of six.
+    VpecBranch {
+        /// Element name.
+        name: String,
+        /// Terminal the segment current enters.
+        a: NodeId,
+        /// Terminal the segment current leaves.
+        b: NodeId,
+        /// Magnetic (vector-potential) node, never ground.
+        mag: NodeId,
+        /// Filament length in metres (must be positive).
+        len: f64,
+    },
 }
 
 impl Element {
@@ -162,7 +185,8 @@ impl Element {
             | Element::Vcvs { name, .. }
             | Element::Vccs { name, .. }
             | Element::Cccs { name, .. }
-            | Element::Ccvs { name, .. } => name,
+            | Element::Ccvs { name, .. }
+            | Element::VpecBranch { name, .. } => name,
         }
     }
 
@@ -174,15 +198,20 @@ impl Element {
                 | Element::VSource { .. }
                 | Element::Vcvs { .. }
                 | Element::Ccvs { .. }
+                | Element::VpecBranch { .. }
         )
     }
 
     /// `true` if this element is reactive (stores energy): the paper's
-    /// "number of reactive elements" complexity metric.
+    /// "number of reactive elements" complexity metric. A VPEC filament
+    /// counts once, as the unit inductor of its Fig. 1 realization.
     pub fn is_reactive(&self) -> bool {
         matches!(
             self,
-            Element::Capacitor { .. } | Element::Inductor { .. } | Element::Mutual { .. }
+            Element::Capacitor { .. }
+                | Element::Inductor { .. }
+                | Element::Mutual { .. }
+                | Element::VpecBranch { .. }
         )
     }
 }
@@ -230,5 +259,15 @@ mod tests {
         };
         assert!(m.is_reactive());
         assert!(!m.is_branch());
+
+        let f = Element::VpecBranch {
+            name: "1".into(),
+            a: NodeId(1),
+            b: NodeId(2),
+            mag: NodeId(3),
+            len: 1e-6,
+        };
+        assert!(f.is_branch());
+        assert!(f.is_reactive());
     }
 }

@@ -9,8 +9,11 @@
 //! * independent voltage/current sources (DC, step, pulse, PWL — plus AC
 //!   magnitude/phase for frequency sweeps),
 //! * all four **controlled sources** (VCVS/VCCS/CCCS/CCVS) and 0 V ammeter
-//!   sources — the building blocks of the SPICE-compatible VPEC magnetic
-//!   circuit,
+//!   sources — the building blocks of the paper's SPICE-compatible VPEC
+//!   realization (Fig. 1), kept for export,
+//! * **native VPEC filaments** ([`Element::VpecBranch`]): a segment
+//!   current and a magnetic node per filament, the form the VPEC models
+//!   are simulated in,
 //!
 //! assembles the modified nodal analysis (MNA) system, and runs
 //!
@@ -23,8 +26,9 @@
 //! [`metrics`] provides the waveform-comparison machinery behind the
 //! paper's accuracy tables (average voltage difference and standard
 //! deviation over all time steps, 50 % delay, peak), and [`spice_out`]
-//! writes SPICE-compatible netlist text — the "model size" metric of
-//! Fig. 8(b).
+//! writes SPICE-compatible netlist text — its classic deck, with VPEC
+//! filaments rewritten into the Fig. 1 realization, is the "model size"
+//! metric of Fig. 8(b).
 //!
 //! # Example: RC step response
 //!
@@ -68,6 +72,7 @@ pub mod spice_in;
 pub mod spice_out;
 pub mod transient;
 
+mod companion;
 mod elements;
 mod error;
 mod mna;

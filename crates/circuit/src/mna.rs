@@ -4,7 +4,9 @@
 //! `cap_adm` maps a capacitance to the admittance stamped at its nodes
 //! (0 for DC, `coef·C` for transient companions, `jωC` for AC) and
 //! `ind_imp` maps an inductance to the impedance subtracted in its branch
-//! row (0 for DC — a short, `coef·L` for transient, `jωL` for AC).
+//! row (0 for DC — a short, `coef·L` for transient, `jωL` for AC). A VPEC
+//! filament reuses `ind_imp` for its flux term: its branch row carries
+//! `−ind_imp(len)` in the magnetic node's column instead of its own.
 
 use crate::elements::Element;
 use crate::netlist::{Circuit, NodeId};
@@ -171,6 +173,30 @@ pub(crate) fn assemble<T: Scalar>(
                 stamp(&mut a, ip, bs, g);
                 stamp(&mut a, in_, bs, -g);
             }
+            Element::VpecBranch {
+                a: na,
+                b: nb,
+                mag,
+                len,
+                ..
+            } => {
+                let br = Some(layout.branch_idx(idx));
+                let (ia, ib) = (layout.node_idx(*na), layout.node_idx(*nb));
+                let im = layout.node_idx(*mag);
+                // KCL columns: current flows a → b, and len·I is injected
+                // into the magnetic node (Ĝ·A = len·I).
+                stamp(&mut a, ia, br, one);
+                stamp(&mut a, ib, br, -one);
+                stamp(&mut a, im, br, -T::from_f64(*len));
+                // Branch row: v_a − v_b − Z(len)·A = rhs, the inductive
+                // drop len·dA/dt in the same companion form as an inductor.
+                stamp(&mut a, br, ia, one);
+                stamp(&mut a, br, ib, -one);
+                let z = ind_imp(*len);
+                if !z.is_zero() {
+                    stamp(&mut a, br, im, -z);
+                }
+            }
             Element::Ccvs { p, n, sense, r, .. } => {
                 let br = Some(layout.branch_idx(idx));
                 let bs = Some(layout.branch_idx(sense.0));
@@ -288,6 +314,35 @@ mod tests {
             .unwrap();
         // 1 mA into 1 kΩ: +1 V.
         assert!((x[0] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn vpec_branch_is_a_dc_short_that_drives_its_magnetic_node() {
+        // 1 V → 100 Ω → filament (len 1e-4 m) → ground; magnetic node
+        // grounded through Ĝ = 100 S. DC: I = 10 mA, A = len·I/Ĝ = 1e-8.
+        let mut c = Circuit::new();
+        let inp = c.node("in");
+        let mid = c.node("mid");
+        let mag = c.node("a0");
+        c.add_vsource("V1", inp, Circuit::GROUND, Waveform::dc(1.0))
+            .unwrap();
+        c.add_resistor("R1", inp, mid, 100.0).unwrap();
+        let f = c
+            .add_vpec_branch("0", mid, Circuit::GROUND, mag, 1e-4)
+            .unwrap();
+        c.add_resistor("rg0", mag, Circuit::GROUND, 0.01).unwrap();
+        let layout = MnaLayout::new(&c);
+        assert_eq!(layout.dim, 3 + 2);
+        let a = assemble::<f64>(&c, &layout, |_| 0.0, |_| 0.0);
+        let mut rhs = vec![0.0; layout.dim];
+        rhs[layout.branch_idx(0)] = 1.0;
+        let x = LuFactor::new(&a.to_csr().to_dense())
+            .unwrap()
+            .solve(&rhs)
+            .unwrap();
+        assert!(x[layout.node_idx(mid).unwrap()].abs() < 1e-15);
+        assert!((x[layout.branch_idx(f.0)] - 1e-2).abs() < 1e-15);
+        assert!((x[layout.node_idx(mag).unwrap()] - 1e-8).abs() < 1e-20);
     }
 
     #[test]

@@ -115,7 +115,14 @@ impl Circuit {
         }
     }
 
-    fn push(&mut self, e: Element) -> ElementId {
+    /// Node id of an existing node name.
+    pub(crate) fn find_node(&self, name: &str) -> Option<NodeId> {
+        self.name_to_node.get(name).copied()
+    }
+
+    /// Appends an element whose node and element references are already
+    /// valid for this circuit (used when rewriting a validated circuit).
+    pub(crate) fn push(&mut self, e: Element) -> ElementId {
         let id = ElementId(self.elements.len());
         self.elements.push(e);
         id
@@ -414,6 +421,41 @@ impl Circuit {
         }))
     }
 
+    /// Adds a natively stamped VPEC filament ([`Element::VpecBranch`]):
+    /// segment current a → b, inductive drop `len·dA/dt` with `A` the
+    /// voltage of the magnetic node `mag`, and `len·I` injected into `mag`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects unknown nodes, a grounded magnetic node, and non-positive
+    /// or non-finite length.
+    pub fn add_vpec_branch(
+        &mut self,
+        name: &str,
+        a: NodeId,
+        b: NodeId,
+        mag: NodeId,
+        len: f64,
+    ) -> Result<ElementId, CircuitError> {
+        Self::check_positive(name, len, "filament length must be positive and finite")?;
+        for node in [a, b, mag] {
+            self.check_node(name, node)?;
+        }
+        if mag.is_ground() {
+            return Err(CircuitError::InvalidValue {
+                element: name.to_string(),
+                reason: "magnetic node must not be ground",
+            });
+        }
+        Ok(self.push(Element::VpecBranch {
+            name: name.to_string(),
+            a,
+            b,
+            mag,
+            len,
+        }))
+    }
+
     fn check_sense(&self, name: &str, sense: ElementId) -> Result<(), CircuitError> {
         if sense.0 < self.elements.len() && self.elements[sense.0].is_branch() {
             Ok(())
@@ -424,8 +466,9 @@ impl Circuit {
         }
     }
 
-    /// Number of reactive elements (C, L, K) — the paper's model-complexity
-    /// metric ("the VPEC model largely reduces reactive elements").
+    /// Number of reactive elements (C, L, K, VPEC filaments) — the paper's
+    /// model-complexity metric ("the VPEC model largely reduces reactive
+    /// elements").
     pub fn reactive_count(&self) -> usize {
         self.elements.iter().filter(|e| e.is_reactive()).count()
     }
@@ -514,6 +557,23 @@ mod tests {
         assert!(c.add_cccs("F1", a, Circuit::GROUND, v, 2.0).is_ok());
         assert!(c.add_cccs("F2", a, Circuit::GROUND, r, 2.0).is_err());
         assert!(c.add_ccvs("H1", a, Circuit::GROUND, v, 10.0).is_ok());
+    }
+
+    #[test]
+    fn vpec_branch_validates() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        let m = c.node("m");
+        let f = c.add_vpec_branch("1", a, b, m, 1e-6).unwrap();
+        assert!(c.element(f).is_branch());
+        assert!(c.add_vpec_branch("2", a, b, Circuit::GROUND, 1e-6).is_err());
+        assert!(c.add_vpec_branch("3", a, b, m, 0.0).is_err());
+        assert!(c.add_vpec_branch("4", a, b, m, f64::NAN).is_err());
+        assert!(c.add_vpec_branch("5", a, NodeId(42), m, 1e-6).is_err());
+        // A filament is one reactive element and one branch unknown.
+        assert_eq!(c.reactive_count(), 1);
+        assert_eq!(c.mna_dim(), 3 + 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! SPICE netlist parser — the inverse of [`crate::spice_out`].
 //!
 //! Reads the deck dialect this workspace emits (R/C/L/K, V/I with
-//! DC/PWL/PULSE and optional AC, and the four controlled sources E/G/F/H)
-//! back into a [`Circuit`]. Together with the exporter this enables
+//! DC/PWL/PULSE and optional AC, the four controlled sources E/G/F/H, and
+//! the native VPEC filament card `Y<name> a b mag len`) back into a
+//! [`Circuit`]. Together with the exporter this enables
 //! roundtrip validation — any deck we write can be re-read and must
 //! simulate identically — and lets externally authored decks in the same
 //! dialect drive the engine.
@@ -241,7 +242,8 @@ fn parse_source(
 /// Parses a SPICE deck into a [`Circuit`].
 ///
 /// Supported cards: `R`, `C`, `L`, `K` (coupling coefficient), `V`, `I`
-/// (DC / PWL / PULSE, optional `AC`), `E`, `G`, `F`, `H`; `*` comments,
+/// (DC / PWL / PULSE, optional `AC`), `E`, `G`, `F`, `H`, and `Y` (native
+/// VPEC filament: two terminals, magnetic node, length); `*` comments,
 /// blank lines, a leading title comment and `.end` are accepted.
 ///
 /// # Errors
@@ -334,6 +336,17 @@ pub fn from_spice(deck: &str) -> Result<Circuit, ParseError> {
                     ckt.add_vccs(name, p, n, cp, cn, g)
                 }
                 .map_err(|e| circuit_err(line_no, e))?;
+            }
+            'Y' => {
+                if toks.len() < 5 {
+                    return Err(err(line_no, "Y card needs 3 nodes and a length"));
+                }
+                let a = ckt.node(toks[1]);
+                let b = ckt.node(toks[2]);
+                let mag = ckt.node(toks[3]);
+                let len = parse_value(toks[4]).map_err(|m| err_at(line_no, col_of(4), m))?;
+                ckt.add_vpec_branch(name, a, b, mag, len)
+                    .map_err(|e| circuit_err(line_no, e))?;
             }
             'K' | 'F' | 'H' => {
                 deferred.push((line_no, line.to_string()));

@@ -2,13 +2,22 @@
 //!
 //! The paper's Fig. 8(b) compares "model size", defined as "the file size
 //! of the resulting SPICE netlists". This module renders a [`Circuit`] in
-//! SPICE syntax so the same metric can be measured here; the decks are
-//! also valid input for external SPICE-class simulators (HSPICE/ngspice
-//! dialect for the element cards used).
+//! SPICE syntax so the same metric can be measured here.
+//!
+//! Two renderings exist:
+//!
+//! * [`to_spice`] writes every element as one card, including the native
+//!   VPEC filament (`Y<name> a b mag len`) — this workspace's dialect, read
+//!   back losslessly in structure by [`crate::spice_in::from_spice`];
+//! * [`to_classic_spice`] first rewrites each filament into the paper's
+//!   Fig. 1 realization ([`fig1_realization`]), so the deck is valid input
+//!   for external SPICE-class simulators (HSPICE/ngspice dialect for the
+//!   element cards used). [`netlist_size`] measures this deck.
 
-use crate::elements::Element;
-use crate::netlist::Circuit;
+use crate::elements::{Element, ElementId};
+use crate::netlist::{Circuit, NodeId};
 use crate::waveform::Waveform;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 fn fmt_wave(w: &Waveform) -> String {
@@ -146,15 +155,172 @@ pub fn to_spice(ckt: &Circuit, title: &str) -> String {
                     ckt.element(*sense).name()
                 );
             }
+            Element::VpecBranch {
+                name, a, b, mag, len,
+            } => {
+                let _ = writeln!(
+                    out,
+                    "Y{name} {} {} {} {len:.6e}",
+                    node(*a),
+                    node(*b),
+                    node(*mag)
+                );
+            }
         }
     }
     let _ = writeln!(out, ".end");
     out
 }
 
-/// Size in bytes of the rendered netlist — the paper's model-size metric.
+/// SPICE card letter of an element.
+fn card_letter(e: &Element) -> char {
+    match e {
+        Element::Resistor { .. } => 'R',
+        Element::Capacitor { .. } => 'C',
+        Element::Inductor { .. } => 'L',
+        Element::Mutual { .. } => 'K',
+        Element::VSource { .. } => 'V',
+        Element::ISource { .. } => 'I',
+        Element::Vcvs { .. } => 'E',
+        Element::Vccs { .. } => 'G',
+        Element::Cccs { .. } => 'F',
+        Element::Ccvs { .. } => 'H',
+        Element::VpecBranch { .. } => 'Y',
+    }
+}
+
+/// Rewrites every native VPEC filament into the paper's Fig. 1
+/// realization; every other element is copied unchanged, and node ids are
+/// preserved.
+///
+/// A filament `Y<n> a b mag len` becomes, in this order:
+///
+/// * `Vamm<n> a s<n> DC 0` — the 0 V ammeter sensing the segment current;
+/// * `Ee<n> s<n> b d<n> 0 len` — the inductive drop `len·v(d<n>)`;
+/// * `Ff<n> 0 mag Vamm<n> len` — the injection `len·I` into `mag`;
+/// * `Gg<n> 0 d<n> mag 0 1` — copies `A` into the unit inductor's current;
+/// * `Llu<n> d<n> 0 1` — the unit inductor, whose voltage is `dA/dt`.
+///
+/// The rewritten circuit is electrically identical (same node voltages and
+/// segment currents) at six MNA unknowns per filament instead of two.
+/// Controlled sources sensing a filament sense its ammeter instead. Should
+/// a derived name already be taken, `_` is appended to the filament's
+/// suffix until all seven names are free.
+pub fn fig1_realization(ckt: &Circuit) -> Circuit {
+    let mut out = Circuit::new();
+    for k in 1..ckt.node_count() {
+        out.node(ckt.node_name(NodeId(k)));
+    }
+    let mut cards: HashSet<String> = ckt
+        .elements()
+        .iter()
+        .map(|e| format!("{}{}", card_letter(e), e.name()).to_ascii_lowercase())
+        .collect();
+    // Old element index → id in `out` (a filament maps to its ammeter).
+    let mut ids: Vec<ElementId> = Vec::with_capacity(ckt.element_count());
+    let remap = |ids: &[ElementId], id: ElementId| ids[id.0];
+    for e in ckt.elements() {
+        let id = match e {
+            Element::VpecBranch {
+                name, a, b, mag, len,
+            } => {
+                let mut sfx = name.clone();
+                let derived = |sfx: &str| {
+                    [
+                        format!("vamm{sfx}"),
+                        format!("ee{sfx}"),
+                        format!("ff{sfx}"),
+                        format!("gg{sfx}"),
+                        format!("llu{sfx}"),
+                    ]
+                    .map(|c| c.to_ascii_lowercase())
+                };
+                while derived(&sfx).iter().any(|c| cards.contains(c))
+                    || out.find_node(&format!("s{sfx}")).is_some()
+                    || out.find_node(&format!("d{sfx}")).is_some()
+                {
+                    sfx.push('_');
+                }
+                cards.extend(derived(&sfx));
+                let s = out.node(&format!("s{sfx}"));
+                let d = out.node(&format!("d{sfx}"));
+                let amm = out.push(Element::VSource {
+                    name: format!("amm{sfx}"),
+                    p: *a,
+                    n: s,
+                    wave: Waveform::dc(0.0),
+                    ac: None,
+                });
+                out.push(Element::Vcvs {
+                    name: format!("e{sfx}"),
+                    p: s,
+                    n: *b,
+                    cp: d,
+                    cn: Circuit::GROUND,
+                    gain: *len,
+                });
+                out.push(Element::Cccs {
+                    name: format!("f{sfx}"),
+                    p: Circuit::GROUND,
+                    n: *mag,
+                    sense: amm,
+                    gain: *len,
+                });
+                out.push(Element::Vccs {
+                    name: format!("g{sfx}"),
+                    p: Circuit::GROUND,
+                    n: d,
+                    cp: *mag,
+                    cn: Circuit::GROUND,
+                    gm: 1.0,
+                });
+                out.push(Element::Inductor {
+                    name: format!("lu{sfx}"),
+                    a: d,
+                    b: Circuit::GROUND,
+                    l: 1.0,
+                });
+                amm
+            }
+            Element::Mutual { name, la, lb, m } => out.push(Element::Mutual {
+                name: name.clone(),
+                la: remap(&ids, *la),
+                lb: remap(&ids, *lb),
+                m: *m,
+            }),
+            Element::Cccs {
+                name, p, n, sense, gain,
+            } => out.push(Element::Cccs {
+                name: name.clone(),
+                p: *p,
+                n: *n,
+                sense: remap(&ids, *sense),
+                gain: *gain,
+            }),
+            Element::Ccvs { name, p, n, sense, r } => out.push(Element::Ccvs {
+                name: name.clone(),
+                p: *p,
+                n: *n,
+                sense: remap(&ids, *sense),
+                r: *r,
+            }),
+            other => out.push(other.clone()),
+        };
+        ids.push(id);
+    }
+    out
+}
+
+/// Renders the circuit as a classic-SPICE deck: [`to_spice`] of its
+/// [`fig1_realization`], the form external simulators accept.
+pub fn to_classic_spice(ckt: &Circuit, title: &str) -> String {
+    to_spice(&fig1_realization(ckt), title)
+}
+
+/// Size in bytes of the classic-SPICE deck ([`to_classic_spice`]) — the
+/// paper's model-size metric, measured on the deck HSPICE would read.
 pub fn netlist_size(ckt: &Circuit, title: &str) -> usize {
-    to_spice(ckt, title).len()
+    to_classic_spice(ckt, title).len()
 }
 
 #[cfg(test)]
@@ -230,6 +396,47 @@ mod tests {
                 .unwrap();
         }
         assert!(netlist_size(&big, "t") > small + 1000);
+    }
+
+    #[test]
+    fn fig1_realization_expands_filaments() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        let m = c.node("m");
+        // Names the rewrite would derive for filament "1" are taken.
+        c.node("s1");
+        c.add_vsource("amm1", a, Circuit::GROUND, Waveform::dc(1.0))
+            .unwrap();
+        let f = c.add_vpec_branch("1", a, b, m, 2e-6).unwrap();
+        c.add_resistor("rg1", m, Circuit::GROUND, 0.5).unwrap();
+        c.add_resistor("load", b, Circuit::GROUND, 50.0).unwrap();
+        c.add_cccs("mirror", Circuit::GROUND, b, f, 0.1).unwrap();
+
+        let x = fig1_realization(&c);
+        assert_eq!(x.element_count(), c.element_count() + 4);
+        assert_eq!(x.reactive_count(), c.reactive_count());
+        assert_eq!(x.mna_dim(), c.mna_dim() + 4);
+        // Node ids survive; the derived names moved to a free suffix.
+        for k in 1..c.node_count() {
+            assert_eq!(x.node_name(NodeId(k)), c.node_name(NodeId(k)));
+        }
+        let deck = to_spice(&x, "fig1");
+        for card in [
+            "Vamm1_ a s1_ DC 0.000000e0",
+            "Ee1_ s1_ b d1_ 0 2.000000e-6",
+            "Ff1_ 0 m Vamm1_ 2.000000e-6",
+            "Gg1_ 0 d1_ m 0 1.000000e0",
+            "Llu1_ d1_ 0 1.000000e0",
+            // A source sensing the filament senses its ammeter.
+            "Fmirror 0 b Vamm1_ 1.000000e-1",
+        ] {
+            assert!(deck.contains(card), "missing {card:?} in\n{deck}");
+        }
+        assert_eq!(to_classic_spice(&c, "fig1"), deck);
+        assert_eq!(netlist_size(&c, "fig1"), deck.len());
+        // The native deck keeps the filament as one card.
+        assert!(to_spice(&c, "native").contains("Y1 a b m 2.000000e-6"));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! accepted state. The factorization itself runs through the bounded
 //! fallback chain in [`crate::diagnostics`].
 
+use crate::companion::Companions;
 use crate::dc::solve_dc_opts;
 use crate::diagnostics::{FactorDiagnostics, FaultInjection, SolveAudit, TransientDiagnostics};
 use vpec_numerics::cancel::CancelToken;
@@ -154,25 +155,6 @@ impl TransientSpec {
         self.cancel = t;
         self
     }
-}
-
-struct CapState {
-    ia: Option<usize>,
-    ib: Option<usize>,
-    /// Capacitance — `Geq = coef·c` is recomputed from the *current* step
-    /// size so a recovery halving keeps the companion model consistent.
-    c: f64,
-    v_prev: f64,
-    i_prev: f64,
-}
-
-struct IndState {
-    br: usize,
-    ia: Option<usize>,
-    ib: Option<usize>,
-    /// `(branch column, inductance)` couplings including the self term.
-    couplings: Vec<(usize, f64)>,
-    v_prev: f64,
 }
 
 fn coef_for(method: Integrator, dt: f64) -> f64 {
@@ -517,52 +499,7 @@ fn run_transient_guarded(
     }
     debug_assert_eq!(x.len(), layout.dim);
 
-    // Element state trackers.
-    let mut caps: Vec<CapState> = Vec::new();
-    let mut inds: Vec<IndState> = Vec::new();
-    // First pass: self terms and node indices.
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        match e {
-            Element::Capacitor { a: na, b: nb, c, .. } => {
-                let ia = layout.node_idx(*na);
-                let ib = layout.node_idx(*nb);
-                let va = ia.map_or(0.0, |i| x[i]);
-                let vb = ib.map_or(0.0, |i| x[i]);
-                caps.push(CapState {
-                    ia,
-                    ib,
-                    c: *c,
-                    v_prev: va - vb,
-                    i_prev: 0.0, // steady state: no capacitor current
-                });
-            }
-            Element::Inductor { a: na, b: nb, l, .. } => {
-                let br = layout.branch_idx(idx);
-                inds.push(IndState {
-                    br,
-                    ia: layout.node_idx(*na),
-                    ib: layout.node_idx(*nb),
-                    couplings: vec![(br, *l)],
-                    v_prev: 0.0, // DC: inductor is a short
-                });
-            }
-            _ => {}
-        }
-    }
-    // Second pass: mutual couplings (element ids refer to inductors).
-    let br_to_ind: HashMap<usize, usize> = inds
-        .iter()
-        .enumerate()
-        .map(|(k, s)| (s.br, k))
-        .collect();
-    for e in ckt.elements() {
-        if let Element::Mutual { la, lb, m, .. } = e {
-            let ba = layout.branch_idx(la.0);
-            let bb = layout.branch_idx(lb.0);
-            inds[br_to_ind[&ba]].couplings.push((bb, *m));
-            inds[br_to_ind[&bb]].couplings.push((ba, *m));
-        }
-    }
+    let mut companions = Companions::new(ckt, &layout, &x);
 
     // Probe bookkeeping.
     let (mapping, record_cols): (ResultMapping, Option<Vec<usize>>) = match &spec.probes {
@@ -642,25 +579,7 @@ fn run_transient_guarded(
                 add_source_rhs(&mut rhs, &layout, idx, e, wave.value(t_new));
             }
         }
-        // Capacitor companion history: current source Geq·v_prev (+ i_prev
-        // for trapezoidal) injected from b into a.
-        for s in &caps {
-            let hist = coef * s.c * s.v_prev + if trap { s.i_prev } else { 0.0 };
-            if let Some(ia) = s.ia {
-                rhs[ia] += hist;
-            }
-            if let Some(ib) = s.ib {
-                rhs[ib] -= hist;
-            }
-        }
-        // Inductor branch history: −v_prev (trap) − coef·Σ L·i_prev.
-        for s in &inds {
-            let mut flux = 0.0;
-            for &(col, l) in &s.couplings {
-                flux += l * x[col];
-            }
-            rhs[s.br] = -(if trap { s.v_prev } else { 0.0 }) - coef * flux;
-        }
+        companions.history(&mut rhs, &x, coef, trap);
 
         let factored: &Factored<f64> = match (&owned_factor, prefactored) {
             (Some(f), _) => f,
@@ -714,20 +633,7 @@ fn run_transient_guarded(
             continue;
         }
 
-        // Update element states.
-        for s in &mut caps {
-            let va = s.ia.map_or(0.0, |i| x_new[i]);
-            let vb = s.ib.map_or(0.0, |i| x_new[i]);
-            let v_new = va - vb;
-            let i_new = coef * s.c * (v_new - s.v_prev) - if trap { s.i_prev } else { 0.0 };
-            s.v_prev = v_new;
-            s.i_prev = i_new;
-        }
-        for s in &mut inds {
-            let va = s.ia.map_or(0.0, |i| x_new[i]);
-            let vb = s.ib.map_or(0.0, |i| x_new[i]);
-            s.v_prev = va - vb;
-        }
+        companions.accept(&x_new, coef, trap);
 
         // Swap rather than move so x_new's buffer survives for the next
         // step's solve_into.

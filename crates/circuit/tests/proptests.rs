@@ -7,7 +7,7 @@
 use vpec_circuit::ac::{run_ac, AcSpec};
 use vpec_circuit::dc::solve_dc;
 use vpec_circuit::spice_in::from_spice;
-use vpec_circuit::spice_out::to_spice;
+use vpec_circuit::spice_out::{to_classic_spice, to_spice};
 use vpec_circuit::transient::{run_transient, Integrator, TransientSpec};
 use vpec_circuit::{Circuit, NodeId, Waveform};
 use vpec_numerics::rng::XorShift64;
@@ -142,7 +142,8 @@ fn integrators_agree_at_steady_state() {
 
 /// Any circuit this generator produces survives a SPICE-deck roundtrip
 /// (export → parse) with identical structure and identical DC
-/// solution at every node.
+/// solution at every node, and so does its classic deck, where the
+/// native VPEC filament becomes the Fig. 1 realization.
 #[test]
 fn spice_roundtrip_preserves_dc() {
     let mut rng = XorShift64::new(0x2004);
@@ -174,25 +175,41 @@ fn spice_roundtrip_preserves_dc() {
                 }
             }
         }
+        // A native VPEC filament from the first ladder node into a
+        // resistive load (a short at DC), its magnetic node grounded.
+        let fx = ckt.node("fx");
+        let ax = ckt.node("ax");
+        let len = rng.range_f64(10.0, 500.0) * 1e-6;
+        ckt.add_vpec_branch("x", nodes[0], fx, ax, len).expect("valid");
+        ckt.add_resistor("fxl", fx, Circuit::GROUND, rng.range_f64(100.0, 10_000.0))
+            .expect("valid");
+        ckt.add_resistor("axg", ax, Circuit::GROUND, rng.range_f64(1.0, 100.0))
+            .expect("valid");
         let deck = to_spice(&ckt, "roundtrip property");
         let back = from_spice(&deck).expect("own decks always parse");
         assert_eq!(back.element_count(), ckt.element_count());
         assert_eq!(back.node_count(), ckt.node_count());
+        // The classic deck spells the filament as Fig. 1's five cards.
+        let classic = from_spice(&to_classic_spice(&ckt, "classic property"))
+            .expect("classic decks parse");
+        assert_eq!(classic.element_count(), ckt.element_count() + 4);
         let dc_a = solve_dc(&ckt).expect("solvable");
-        let dc_b = solve_dc(&back).expect("solvable");
-        let mut ckt2 = ckt.clone();
-        let mut back2 = back.clone();
-        for &nn in &nodes {
-            // Node ids may be assigned in a different order after parsing:
-            // compare by name.
-            let name = ckt2.node_name(nn).to_string();
-            let n_a = ckt2.node(&name);
-            let n_b = back2.node(&name);
-            let (va, vb) = (dc_a.voltage(n_a), dc_b.voltage(n_b));
-            assert!(
-                (va - vb).abs() <= 1e-9 * va.abs().max(1.0),
-                "DC mismatch at {name}: {va} vs {vb}"
-            );
+        for other in [&back, &classic] {
+            let dc_b = solve_dc(other).expect("solvable");
+            let mut ckt2 = ckt.clone();
+            let mut other2 = other.clone();
+            for &nn in nodes.iter().chain([&fx, &ax]) {
+                // Node ids may be assigned in a different order after
+                // parsing: compare by name.
+                let name = ckt2.node_name(nn).to_string();
+                let n_a = ckt2.node(&name);
+                let n_b = other2.node(&name);
+                let (va, vb) = (dc_a.voltage(n_a), dc_b.voltage(n_b));
+                assert!(
+                    (va - vb).abs() <= 1e-9 * va.abs().max(1.0),
+                    "DC mismatch at {name}: {va} vs {vb}"
+                );
+            }
         }
     }
 }

@@ -4,7 +4,7 @@ use crate::args::{ParsedArgs, Structure};
 use crate::CliError;
 use std::fmt::Write as _;
 use vpec_circuit::metrics::peak_abs;
-use vpec_circuit::spice_out::to_spice;
+use vpec_circuit::spice_out::{fig1_realization, to_spice};
 use vpec_circuit::TransientSpec;
 use vpec_core::harness::{Experiment, ModelKind};
 use vpec_core::noise::noise_scan;
@@ -299,7 +299,8 @@ pub fn noise(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `vpec export`: write the SPICE deck.
+/// `vpec export`: write the classic-SPICE deck (VPEC filaments in the
+/// paper's Fig. 1 realization).
 ///
 /// # Errors
 ///
@@ -311,8 +312,9 @@ pub fn export(args: &ParsedArgs) -> Result<String, CliError> {
         .ok_or_else(|| CliError::usage("export needs -o <file>"))?;
     let exp = build_experiment(args)?;
     let built = exp.build(args.kind).map_err(runtime)?;
+    let classic = fig1_realization(&built.model.circuit);
     let deck = to_spice(
-        &built.model.circuit,
+        &classic,
         &format!("{} model exported by vpec-cli", args.kind.label()),
     );
     std::fs::write(path, &deck).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
@@ -320,7 +322,7 @@ pub fn export(args: &ParsedArgs) -> Result<String, CliError> {
         "{} deck: {} bytes, {} elements -> {path}\n",
         args.kind.label(),
         deck.len(),
-        built.model.circuit.element_count()
+        classic.element_count()
     ))
 }
 

@@ -636,7 +636,9 @@ impl BuiltModel {
         Ok(res.voltage(node)?)
     }
 
-    /// SPICE netlist size in bytes — Fig. 8(b)'s model-size metric.
+    /// SPICE netlist size in bytes — Fig. 8(b)'s model-size metric,
+    /// measured on the classic deck (VPEC filaments in the paper's Fig. 1
+    /// realization, see [`vpec_circuit::spice_out::netlist_size`]).
     pub fn netlist_bytes(&self) -> usize {
         netlist_size(&self.model.circuit, &self.kind.label())
     }

@@ -1,15 +1,22 @@
-//! VPEC netlist builder: lowers a [`VpecModel`] to the SPICE-compatible
-//! two-block circuit of the paper's Fig. 1.
+//! VPEC netlist builder: lowers a [`VpecModel`] to a simulation circuit.
 //!
 //! Per filament `i`:
 //!
-//! * **electrical block** — the PEEC series resistance, a 0 V dummy source
-//!   sensing the segment current `Iᵢ`, and a voltage source
-//!   `Vᵢ = lᵢ·V̂ᵢ` realizing the inductive drop (replacing the inductor);
+//! * **electrical block** — the PEEC series resistance followed by one
+//!   native VPEC filament ([`vpec_circuit::Element::VpecBranch`]) whose
+//!   branch carries the segment current `Iᵢ` and drops
+//!   `Vᵢ = lᵢ·dAᵢ/dt` (replacing the inductor);
 //! * **magnetic block** — vector-potential node `aᵢ` tied to ground through
-//!   `R̂ᵢ₀` and to other magnetic nodes through the kept `R̂ᵢⱼ`; a CCCS
-//!   injects `Îᵢ = lᵢ·Iᵢ` into `aᵢ`; a VCCS copies `Aᵢ` into a **unit
-//!   inductance** whose voltage is `dAᵢ/dt = V̂ᵢ`, closing the loop.
+//!   `R̂ᵢ₀` and to other magnetic nodes through the kept `R̂ᵢⱼ`; the
+//!   filament injects `Îᵢ = lᵢ·Iᵢ` into `aᵢ`, so the network solves
+//!   `Ĝ·A = l∘I`.
+//!
+//! That is two MNA unknowns per filament (`Iᵢ` and `Aᵢ`). The paper's
+//! Fig. 1 realization of the same equations — 0 V ammeter, VCVS, CCCS,
+//! VCCS and unit inductor per filament, six unknowns — is kept as the
+//! export form: [`vpec_circuit::spice_out::fig1_realization`] rewrites
+//! each filament into it, and [`vpec_circuit::spice_out::to_classic_spice`]
+//! renders the classic-SPICE deck.
 //!
 //! The capacitances, drivers and loads are identical to the PEEC netlist,
 //! so waveform differences measure exactly the inductance-model error.
@@ -20,24 +27,9 @@ use vpec_circuit::Circuit;
 use vpec_extract::Parasitics;
 use vpec_geometry::Layout;
 
-/// How the VPEC model is realized as a netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoweringStyle {
-    /// The paper's Fig. 1 realization: a dedicated 0 V dummy source senses
-    /// the segment current (required for HSPICE-exportable decks, where an
-    /// F element must reference a V source).
-    #[default]
-    PaperFig1,
-    /// Compact realization: the CCCS senses the inductive-drop VCVS's own
-    /// branch current, eliminating one node and one branch per filament.
-    /// Smaller/faster in this engine, but the exported deck is not valid
-    /// classic-SPICE (F cannot sense an E element there).
-    Compact,
-}
-
 /// Builds the VPEC netlist for any [`VpecModel`] (full, localized,
 /// truncated or windowed — the model's kept couplings decide the magnetic
-/// network's sparsity), using the paper's Fig. 1 realization.
+/// network's sparsity).
 ///
 /// # Errors
 ///
@@ -48,21 +40,6 @@ pub fn build_vpec(
     model: &VpecModel,
     drive: &DriveConfig,
 ) -> Result<ModelCircuit, CoreError> {
-    build_vpec_styled(layout, parasitics, model, drive, LoweringStyle::PaperFig1)
-}
-
-/// [`build_vpec`] with an explicit [`LoweringStyle`].
-///
-/// # Errors
-///
-/// Propagates shape mismatches and netlist-validation failures.
-pub fn build_vpec_styled(
-    layout: &Layout,
-    parasitics: &Parasitics,
-    model: &VpecModel,
-    drive: &DriveConfig,
-    style: LoweringStyle,
-) -> Result<ModelCircuit, CoreError> {
     if model.len() != parasitics.len() {
         return Err(CoreError::ShapeMismatch {
             parasitics: parasitics.len(),
@@ -71,59 +48,18 @@ pub fn build_vpec_styled(
     }
     let (mut mc, spans) = build_electrical(layout, parasitics, drive)?;
     let ckt = &mut mc.circuit;
-    let n = model.len();
 
-    // Per-filament blocks.
+    // Per-filament blocks. The filament is named by its index so the
+    // Fig. 1 export derives the paper deck's names (amm{i}, e{i}, …).
     let ground = model.ground_conductances();
-    let mut mag_nodes = Vec::with_capacity(n);
+    let mut mag_nodes = Vec::with_capacity(model.len());
     for (i, span) in spans.iter().enumerate() {
-        let li = model.lengths()[i];
         let (_, mid, out) = *span;
         let a_node = ckt.node(&format!("a{i}"));
-        let d_node = ckt.node(&format!("d{i}"));
         mag_nodes.push(a_node);
-        // Electrical inductive drop v = lᵢ·v(dᵢ), plus the branch whose
-        // current the magnetic injection senses.
-        let sense = match style {
-            LoweringStyle::PaperFig1 => {
-                // Dummy 0 V ammeter in series before the controlled V.
-                let sense_node = ckt.node(&format!("s{i}"));
-                let amm = ckt.add_vsource(
-                    &format!("amm{i}"),
-                    mid,
-                    sense_node,
-                    vpec_circuit::Waveform::dc(0.0),
-                )?;
-                ckt.add_vcvs(
-                    &format!("e{i}"),
-                    sense_node,
-                    out,
-                    d_node,
-                    Circuit::GROUND,
-                    li,
-                )?;
-                amm
-            }
-            LoweringStyle::Compact => {
-                // The VCVS branch itself carries the segment current.
-                ckt.add_vcvs(&format!("e{i}"), mid, out, d_node, Circuit::GROUND, li)?
-            }
-        };
+        ckt.add_vpec_branch(&i.to_string(), mid, out, a_node, model.lengths()[i])?;
         // Magnetic: ground resistance R̂i0 (from the model's kept rows).
         ckt.add_resistor(&format!("rg{i}"), a_node, Circuit::GROUND, 1.0 / ground[i])?;
-        // Î injection: lᵢ · i(segment) into aᵢ.
-        ckt.add_cccs(&format!("f{i}"), Circuit::GROUND, a_node, sense, li)?;
-        // Derivative chain: VCCS copies Aᵢ into the unit inductor, whose
-        // voltage is dAᵢ/dt = V̂ᵢ.
-        ckt.add_vccs(
-            &format!("g{i}"),
-            Circuit::GROUND,
-            d_node,
-            a_node,
-            Circuit::GROUND,
-            1.0,
-        )?;
-        ckt.add_inductor(&format!("lu{i}"), d_node, Circuit::GROUND, 1.0)?;
     }
 
     // Magnetic coupling resistances for the kept pairs.
@@ -157,20 +93,27 @@ mod tests {
         let c = &mc.circuit;
         use vpec_circuit::Element;
         let count = |f: &dyn Fn(&Element) -> bool| c.elements().iter().filter(|e| f(e)).count();
-        // 3 unit inductors, no mutuals.
-        assert_eq!(count(&|e| matches!(e, Element::Inductor { .. })), 3);
+        // One native filament per segment; no inductors, mutuals or
+        // controlled sources.
+        assert_eq!(count(&|e| matches!(e, Element::VpecBranch { .. })), 3);
+        assert_eq!(count(&|e| matches!(e, Element::Inductor { .. })), 0);
         assert_eq!(count(&|e| matches!(e, Element::Mutual { .. })), 0);
-        // 3 ammeters + 1 driver source.
-        assert_eq!(count(&|e| matches!(e, Element::VSource { .. })), 4);
-        // Controlled sources: 3 each of E (VCVS), F (CCCS), G (VCCS).
-        assert_eq!(count(&|e| matches!(e, Element::Vcvs { .. })), 3);
-        assert_eq!(count(&|e| matches!(e, Element::Cccs { .. })), 3);
-        assert_eq!(count(&|e| matches!(e, Element::Vccs { .. })), 3);
+        assert_eq!(
+            count(&|e| matches!(
+                e,
+                Element::Vcvs { .. } | Element::Cccs { .. } | Element::Vccs { .. }
+            )),
+            0
+        );
+        // The aggressor source is the only voltage source.
+        assert_eq!(count(&|e| matches!(e, Element::VSource { .. })), 1);
         // Magnetic resistors: 3 ground + 3 coupling pairs.
         let resistors = count(&|e| matches!(e, Element::Resistor { .. }));
         assert_eq!(resistors, 3 /*series*/ + 3 /*rd*/ + 3 /*rg*/ + 3 /*rc*/);
-        // Fewer reactive elements than PEEC (3+0 vs 3L+3K).
+        // Two unknowns (I, A) per filament on top of the PEEC nodes.
         let peec = crate::peec::build_peec(&layout, &para, &DriveConfig::paper_default()).unwrap();
+        assert_eq!(c.mna_dim(), peec.circuit.mna_dim() + 3);
+        // Fewer reactive elements than PEEC (3+0 vs 3L+3K).
         assert!(c.reactive_count() < peec.circuit.reactive_count());
     }
 
@@ -220,37 +163,5 @@ mod tests {
             build_vpec(&layout, &para, &model, &DriveConfig::paper_default()),
             Err(CoreError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn compact_lowering_matches_paper_realization() {
-        let (layout, para) = setup(4);
-        let drive = DriveConfig::paper_default();
-        let model = VpecModel::full(&para).unwrap();
-        let paper = build_vpec_styled(&layout, &para, &model, &drive, LoweringStyle::PaperFig1)
-            .unwrap();
-        let compact =
-            build_vpec_styled(&layout, &para, &model, &drive, LoweringStyle::Compact).unwrap();
-        // Compact saves one node and one branch (the ammeter) per filament.
-        assert_eq!(
-            compact.circuit.node_count() + 4,
-            paper.circuit.node_count()
-        );
-        assert_eq!(compact.circuit.branch_count() + 4, paper.circuit.branch_count());
-        // Identical waveforms.
-        let spec = TransientSpec::new(0.2e-9, 0.5e-12);
-        let rp = run_transient(&paper.circuit, &spec).unwrap();
-        let rc = run_transient(&compact.circuit, &spec).unwrap();
-        for net in 0..4 {
-            let d = WaveformDiff::compare(
-                &rp.voltage(paper.far_nodes[net]).unwrap(),
-                &rc.voltage(compact.far_nodes[net]).unwrap(),
-            );
-            assert!(
-                d.max_abs < 1e-9,
-                "realizations must be electrically identical, net {net}: {}",
-                d.max_abs
-            );
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! Decks are written to `target/netlists/`.
 
 use std::fs;
-use vpec::circuit::spice_out::to_spice;
+use vpec::circuit::spice_out::to_classic_spice;
 use vpec::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ModelKind::WVpecGeometric { b: 4 },
     ] {
         let built = exp.build(kind)?;
-        let deck = to_spice(
+        let deck = to_classic_spice(
             &built.model.circuit,
             &format!("{} model of an 8-bit bus", kind.label()),
         );
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show the head of the VPEC deck: electrical + magnetic blocks.
     let vpec = exp.build(ModelKind::WVpecGeometric { b: 4 })?;
-    let deck = to_spice(&vpec.model.circuit, "wVPEC deck excerpt");
+    let deck = to_classic_spice(&vpec.model.circuit, "wVPEC deck excerpt");
     println!("\nwVPEC deck excerpt:");
     for line in deck.lines().take(24) {
         println!("  {line}");

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use vpec_core::harness::{paper_transient_spec, BuiltModel, Experiment, ModelKind};
     pub use vpec_core::noise::{noise_scan, worst_aggressor_alignment, NoiseReport};
     pub use vpec_core::{
-        repair_passivity, CoreError, DriveConfig, LoweringStyle, PassivityReport, RepairReport,
+        repair_passivity, CoreError, DriveConfig, PassivityReport, RepairReport,
         SolveReport, VpecModel,
     };
     pub use vpec_core::harness::BuildBudget;
