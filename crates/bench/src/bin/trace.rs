@@ -158,7 +158,7 @@ fn column(workers: usize, bits: usize, segments: usize) -> Vec<PhaseTotal> {
     let (_ac, _) = built.run_ac(&acspec).expect("AC sweep runs");
 
     pool::set_threads(0);
-    vpec_trace::phase_totals_since(mark)
+    vpec_trace::phase_totals_since(&mark)
 }
 
 /// `--validate <path>`: schema-check a JSONL trace stream and print its

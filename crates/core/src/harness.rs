@@ -514,8 +514,9 @@ pub struct BuiltModel {
     /// Passivity-repair record for sparsified VPEC kinds (`None` when the
     /// kind never needs repair).
     pub repair: Option<RepairReport>,
-    /// Trace position taken when the build started, so a later solve can
-    /// aggregate the build + solve phases into [`SolveReport::phases`].
+    /// Per-name span totals taken when the build started, so
+    /// [`BuiltModel::run_transient_with_report`] can report the build +
+    /// solve phases in [`SolveReport::phases`].
     pub trace_mark: vpec_trace::Mark,
 }
 
@@ -557,7 +558,7 @@ impl BuiltModel {
             build_seconds: Some(self.build_seconds),
             solve_seconds: Some(solve_seconds),
             audit,
-            phases: vpec_trace::phase_totals_since(self.trace_mark),
+            phases: vpec_trace::phase_totals_since(&self.trace_mark),
         };
         Ok((res, report, solve_seconds))
     }
@@ -578,6 +579,9 @@ impl BuiltModel {
     /// [`BuiltModel::run_transient_with_report`] against a factorization
     /// prepared by [`BuiltModel::prepare_transient`] — skips the factor
     /// and DC phases after an exact (and loud-on-mismatch) validation.
+    /// [`SolveReport::phases`] covers this run only: a cached model is
+    /// solved many times, and its build mark would also count every
+    /// request served since.
     ///
     /// # Errors
     ///
@@ -589,6 +593,7 @@ impl BuiltModel {
         spec: &TransientSpec,
         factor: &TransientFactor,
     ) -> Result<(TransientResult, SolveReport, f64), CoreError> {
+        let trace_mark = vpec_trace::mark();
         let t0 = Instant::now();
         let (res, diag) =
             run_transient_with_report_prefactored(&self.model.circuit, spec, factor)?;
@@ -601,7 +606,7 @@ impl BuiltModel {
             build_seconds: Some(self.build_seconds),
             solve_seconds: Some(solve_seconds),
             audit,
-            phases: vpec_trace::phase_totals_since(self.trace_mark),
+            phases: vpec_trace::phase_totals_since(&trace_mark),
         };
         Ok((res, report, solve_seconds))
     }

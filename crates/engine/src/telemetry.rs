@@ -1,22 +1,24 @@
-//! Per-stream telemetry sinks: the run ledger, the metrics registry, and
-//! the Prometheus-style exposition file.
+//! Per-stream telemetry sinks: the run ledger, the telemetry store's
+//! counters and latency histograms, and the Prometheus-style exposition
+//! file.
 //!
 //! [`StreamTelemetry`] bundles everything [`crate::Engine::run_stream_with`]
 //! needs to make a batch observable:
 //!
 //! * one [`vpec_metrics::Ledger`] record per request (see DESIGN.md §15
 //!   for the schema);
-//! * registry counters (`engine.requests`, `.ok`, `.failed`, `.degraded`,
+//! * counters (`engine.requests`, `.ok`, `.failed`, `.degraded`,
 //!   `.retries`) and latency histograms
-//!   (`engine.request.{total,queue,build,solve}_ms`);
+//!   (`engine.request.{total,queue,build,solve}_ms`) in the
+//!   [`vpec_trace`] store;
 //! * periodic in-stream snapshot records plus an atomic rewrite of the
 //!   exposition file every `snapshot_interval_ms`, and a final exposition
 //!   write when the stream ends.
 //!
 //! Constructing one with any sink configured calls
-//! [`vpec_metrics::install`], which also bridges the engine's existing
-//! trace counters (cache hits/misses, retries, degradations) into the
-//! registry. [`StreamTelemetry::disabled`] is a no-op bundle: every hook
+//! [`vpec_trace::install`], so the engine's existing counters (cache
+//! hits/misses, retries, degradations) record with tracing off and land
+//! in the same snapshot. [`StreamTelemetry::disabled`] is a no-op bundle: every hook
 //! returns immediately, which is what plain [`crate::Engine::run_stream`]
 //! uses.
 
@@ -51,7 +53,7 @@ impl StreamTelemetry {
     /// `metrics_out` is rewritten atomically on each snapshot and at the
     /// end of the stream, and `snapshot_interval_ms` (when nonzero) sets
     /// the in-stream snapshot cadence. When any sink is configured the
-    /// metrics registry is enabled process-wide.
+    /// telemetry registry is turned on process-wide.
     ///
     /// # Errors
     ///
@@ -63,7 +65,7 @@ impl StreamTelemetry {
     ) -> std::io::Result<StreamTelemetry> {
         let active = ledger_path.is_some() || metrics_out.is_some();
         if active {
-            vpec_metrics::install();
+            vpec_trace::install();
         }
         let ledger = match ledger_path {
             Some(path) => Some(Ledger::create(path)?),
@@ -86,8 +88,8 @@ impl StreamTelemetry {
         !self.active
     }
 
-    /// Feeds one finished request into every sink: registry counters and
-    /// latency histograms, the ledger line, and (when due) a periodic
+    /// Feeds one finished request into every sink: counters and latency
+    /// histograms, the ledger line, and (when due) a periodic
     /// snapshot.
     ///
     /// # Errors
@@ -97,26 +99,26 @@ impl StreamTelemetry {
         if !self.active {
             return Ok(());
         }
-        vpec_metrics::counter_add("engine.requests", 1);
+        vpec_trace::counter_add("engine.requests", 1);
         let outcome = if record.ok {
             "engine.requests.ok"
         } else {
             "engine.requests.failed"
         };
-        vpec_metrics::counter_add(outcome, 1);
+        vpec_trace::counter_add(outcome, 1);
         if record.degraded {
-            vpec_metrics::counter_add("engine.requests.degraded", 1);
+            vpec_trace::counter_add("engine.requests.degraded", 1);
         }
         if record.retries > 0 {
-            vpec_metrics::counter_add("engine.requests.retries", record.retries as u64);
+            vpec_trace::counter_add("engine.requests.retries", record.retries as u64);
         }
-        vpec_metrics::observe_ms("engine.request.total_ms", record.total_ms);
-        vpec_metrics::observe_ms("engine.request.queue_ms", record.queue_ms);
+        vpec_trace::record_value("engine.request.total_ms", record.total_ms);
+        vpec_trace::record_value("engine.request.queue_ms", record.queue_ms);
         if let Some(build) = record.build_ms {
-            vpec_metrics::observe_ms("engine.request.build_ms", build);
+            vpec_trace::record_value("engine.request.build_ms", build);
         }
         if let Some(solve) = record.solve_ms {
-            vpec_metrics::observe_ms("engine.request.solve_ms", solve);
+            vpec_trace::record_value("engine.request.solve_ms", solve);
         }
         if let Some(ledger) = &mut self.ledger {
             ledger.record(record)?;
@@ -134,7 +136,7 @@ impl StreamTelemetry {
             return Ok(());
         }
         self.last_snapshot = Instant::now();
-        let snap = vpec_metrics::snapshot();
+        let snap = vpec_trace::snapshot();
         if let Some(ledger) = &mut self.ledger {
             ledger.snapshot(&snap)?;
         }
@@ -155,7 +157,7 @@ impl StreamTelemetry {
             return Ok(());
         }
         if let Some(path) = &self.metrics_out {
-            vpec_metrics::write_atomic(path, &vpec_metrics::snapshot())?;
+            vpec_metrics::write_atomic(path, &vpec_trace::snapshot())?;
         }
         Ok(())
     }

@@ -1,4 +1,5 @@
-//! Prometheus-style text exposition of a [`RegistrySnapshot`].
+//! Prometheus-style text exposition of a [`Snapshot`] of the telemetry
+//! store.
 //!
 //! The format is the subset of the Prometheus text format every scraper
 //! understands: `# TYPE` comments, `vpec_`-prefixed sanitized metric
@@ -6,12 +7,12 @@
 //! histograms. [`write_atomic`] writes to `<path>.tmp` and renames, so a
 //! scraper never observes a half-written file.
 
-use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
+use vpec_trace::{bucket_bound, Snapshot};
 
-/// Maps a dotted registry name (`engine.cache.hit`) to a Prometheus
+/// Maps a dotted series name (`engine.cache.hit`) to a Prometheus
 /// metric name (`vpec_engine_cache_hit` + `suffix`).
 fn metric_name(raw: &str, suffix: &str) -> String {
     let mut out = String::with_capacity(raw.len() + suffix.len() + 5);
@@ -41,17 +42,12 @@ fn fmt_f64(v: f64) -> String {
 
 /// Renders the snapshot as Prometheus-style text exposition.
 #[must_use]
-pub fn render(snapshot: &RegistrySnapshot) -> String {
+pub fn render(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
         let metric = metric_name(name, "_total");
         let _ = writeln!(out, "# TYPE {metric} counter");
         let _ = writeln!(out, "{metric} {value}");
-    }
-    for (name, value) in &snapshot.gauges {
-        let metric = metric_name(name, "");
-        let _ = writeln!(out, "# TYPE {metric} gauge");
-        let _ = writeln!(out, "{metric} {}", fmt_f64(*value));
     }
     for (name, h) in &snapshot.histograms {
         let metric = metric_name(name, "");
@@ -62,7 +58,7 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
                 continue; // cumulative series stays valid without empty buckets
             }
             cumulative += c;
-            let bound = crate::histogram::bucket_bound_ms(i);
+            let bound = bucket_bound(i);
             let _ = writeln!(out, "{metric}_bucket{{le=\"{}\"}} {cumulative}", fmt_f64(bound));
         }
         let _ = writeln!(out, "{metric}_bucket{{le=\"+Inf\"}} {}", h.count);
@@ -79,7 +75,7 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
 /// # Errors
 ///
 /// I/O failures creating, writing, or renaming the temporary file.
-pub fn write_atomic(path: &Path, snapshot: &RegistrySnapshot) -> std::io::Result<()> {
+pub fn write_atomic(path: &Path, snapshot: &Snapshot) -> std::io::Result<()> {
     let text = render(snapshot);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -95,10 +91,10 @@ pub fn write_atomic(path: &Path, snapshot: &RegistrySnapshot) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::Histogram;
     use std::collections::BTreeMap;
+    use vpec_trace::Histogram;
 
-    fn sample() -> RegistrySnapshot {
+    fn sample() -> Snapshot {
         let mut h = Histogram::new();
         h.record(1.0);
         h.record(100.0);
@@ -106,11 +102,8 @@ mod tests {
         histograms.insert("engine.request.total_ms".to_string(), h.snapshot().unwrap());
         let mut counters = BTreeMap::new();
         counters.insert("engine.cache.hit".to_string(), 3u64);
-        let mut gauges = BTreeMap::new();
-        gauges.insert("engine.queue.depth".to_string(), 2.0);
-        RegistrySnapshot {
+        Snapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -120,7 +113,6 @@ mod tests {
         let text = render(&sample());
         assert!(text.contains("# TYPE vpec_engine_cache_hit_total counter"));
         assert!(text.contains("vpec_engine_cache_hit_total 3"));
-        assert!(text.contains("# TYPE vpec_engine_queue_depth gauge"));
         assert!(text.contains("# TYPE vpec_engine_request_total_ms histogram"));
         assert!(text.contains("vpec_engine_request_total_ms_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("vpec_engine_request_total_ms_sum 101"));

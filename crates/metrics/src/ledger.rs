@@ -14,10 +14,10 @@
 //!
 //! The full field-by-field schema is documented in DESIGN.md §15.
 
-use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use vpec_trace::json::{self, JsonValue};
+use vpec_trace::Snapshot;
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
 #[must_use]
@@ -351,7 +351,7 @@ impl Ledger {
     /// # Errors
     ///
     /// I/O failures writing the line.
-    pub fn snapshot(&mut self, snap: &RegistrySnapshot) -> std::io::Result<()> {
+    pub fn snapshot(&mut self, snap: &Snapshot) -> std::io::Result<()> {
         let mut line = String::with_capacity(256);
         let _ = write!(
             line,
@@ -445,7 +445,7 @@ mod tests {
         let path = std::env::temp_dir().join("vpec_metrics_ledger_test.jsonl");
         let mut ledger = Ledger::create(&path.display().to_string()).unwrap();
         ledger.record(&sample()).unwrap();
-        ledger.snapshot(&RegistrySnapshot::default()).unwrap();
+        ledger.snapshot(&Snapshot::default()).unwrap();
         ledger.record(&sample()).unwrap();
         drop(ledger);
         let content = std::fs::read_to_string(&path).unwrap();

@@ -1,44 +1,35 @@
 //! Service-level observability for the VPEC engine — **vpec-metrics**.
 //!
-//! Zero-dependency (the workspace's own [`vpec_trace`] JSON helpers are
-//! the only import) metrics stack layered under `vpec batch` / `vpec
-//! serve`:
+//! The counters and latency histograms themselves live in the one
+//! telemetry store of [`vpec_trace`] (turned on by
+//! [`vpec_trace::install`], read by [`vpec_trace::snapshot`]). This crate
+//! turns that store and the engine's per-request records into files:
 //!
-//! * [`registry`] — a process-wide registry of counters, gauges, and
-//!   [`histogram`] log-scale latency histograms. Off by default; one
-//!   relaxed atomic load per call site while off. When enabled it also
-//!   bridges [`vpec_trace::counter_add`] so the engine's existing trace
-//!   counters (cache hits, retries, degradations) surface in snapshots
-//!   without re-instrumenting the call sites.
 //! * [`ledger`] — the run ledger: one schema-validated JSONL record per
 //!   engine request (outcome, error class, retries, degradation, cache
-//!   levels, solver strategy, phase times, scratch estimate), plus
-//!   periodic in-stream snapshot records for long-running streams.
-//! * [`exposition`] — Prometheus-style text rendering of a registry
-//!   snapshot, written atomically (`write → rename`) for scrapers.
+//!   levels, solver strategy, phase times, factor bytes), plus periodic
+//!   in-stream snapshot records for long-running streams.
+//! * [`exposition`] — Prometheus-style text rendering of a
+//!   [`vpec_trace::Snapshot`], written atomically (`write → rename`) for
+//!   scrapers.
 //! * [`stats`] — offline aggregation of one or more ledgers into a
 //!   fleet report (exact latency percentiles per kind and outcome,
 //!   cache hit ratios per level, strategy/degradation/error
 //!   breakdowns, throughput buckets) with `--fail-if` CI thresholds.
 //!
-//! See DESIGN.md §15 for the registry model, the full ledger schema,
-//! and the aggregation semantics.
+//! Zero-dependency: the workspace's own `vpec-trace` is the only import.
+//! See DESIGN.md §10 for the telemetry store and §15 for the full ledger
+//! schema and the aggregation semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exposition;
-pub mod histogram;
 pub mod ledger;
-pub mod registry;
 pub mod stats;
 
 pub use exposition::{render, write_atomic};
-pub use histogram::{bucket_bound_ms, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use ledger::{now_ms, parse_ledger, parse_line, Ledger, LedgerRecord, RunRecord};
-pub use registry::{
-    counter_add, disable, enabled, gauge_set, install, observe_ms, snapshot, RegistrySnapshot,
-};
 pub use stats::{
     aggregate, parse_fail_if, percentile, CacheLevelStats, FailCondition, FailMetric,
     LatencySummary, LedgerStats,

@@ -1,45 +1,53 @@
-//! Structured tracing and metrics for the VPEC workspace.
+//! The telemetry core of the VPEC workspace: structured tracing plus the
+//! one counter/histogram registry.
 //!
 //! Every layer of the pipeline (extraction → model build → factorization →
-//! transient/AC solve) reports into this crate so a run can be profiled
-//! end-to-end without external tooling:
+//! transient/AC solve) and the batch engine report into this crate, so a
+//! run can be profiled end-to-end and a request stream exported without
+//! external tooling:
 //!
 //! * **Spans** — hierarchical wall-time regions opened by [`span`] (or the
-//!   [`span!`] macro) and closed by RAII drop. Each span records its
-//!   parent (via a thread-local stack), the worker thread that ran it, and
-//!   optional string attributes such as `mode=serial|parallel`. Parentage
-//!   propagates across pool worker threads via [`current_span`] +
-//!   [`parent_scope`].
+//!   [`span!`] macro) and closed by RAII drop. Spans only time work: each
+//!   one resolves its node in the span tree (parent node + name) when it
+//!   opens, and its duration is added to that node and to a per-name
+//!   total when it closes. Parentage propagates across pool worker
+//!   threads via [`current_span`] + [`parent_scope`]. Retained state grows
+//!   with the number of distinct span paths and names, never with the
+//!   length of the run.
 //! * **Counters** — monotonically increasing named totals
 //!   ([`counter_add`]): factorization attempts per strategy, transient
-//!   retries and dt-halvings, audit violations by severity, pool dispatch
+//!   retries and dt-halvings, cache hits, engine outcomes, pool dispatch
 //!   counts, …
-//! * **Value stats** — min/mean/max plus a log₂ histogram per named series
-//!   ([`record_value`]): work estimates, tasks per pool worker, …
+//! * **Value histograms** — one [`Histogram`] per named series
+//!   ([`record_value`]): √2 buckets plus exact count/sum/min/max, for
+//!   request latencies, tasks per pool worker, …
 //! * **Instant events** — point-in-time markers with a detail string
-//!   ([`instant_event`]), e.g. one event per transient retry.
+//!   ([`instant_event`]), e.g. one per transient retry. They are counted
+//!   per name and streamed to the JSONL sink.
 //!
-//! # Sinks and gating
+//! # Gating
 //!
-//! The process-global [`TraceMode`] selects the sink:
+//! One process-global gate holds two bits:
 //!
-//! * [`TraceMode::Off`] (default) — nothing is recorded; every gate costs
-//!   one relaxed atomic load, the same pattern as `VPEC_AUDIT`.
-//! * [`TraceMode::Summary`] — events are collected in memory;
-//!   [`summary_tree`] renders a human-readable span tree with counters and
-//!   stats appended.
-//! * [`TraceMode::Jsonl`] — additionally streams machine-readable JSONL
-//!   events to a file (one JSON object per line; see the event schema in
-//!   [`validate_jsonl`]).
+//! * **tracing**, the [`TraceMode`]: [`TraceMode::Off`] (default),
+//!   [`TraceMode::Summary`] (aggregate in memory; [`summary_tree`] renders
+//!   the span tree with counters and value stats appended) or
+//!   [`TraceMode::Jsonl`] (additionally stream every event to a file, one
+//!   JSON object per line; see the event schema in [`validate_jsonl`]).
+//!   The mode comes from the `VPEC_TRACE` environment variable (`off` /
+//!   `summary` / `jsonl:<path>`) on first use, or from the CLI
+//!   `--trace[=…]` flag via [`set_mode_spec`].
+//! * **registry**, set by [`install`] (the engine's ledger and exposition
+//!   sinks): counters and values record even with tracing off, and
+//!   [`snapshot`] exports them.
 //!
-//! The mode comes from the `VPEC_TRACE` environment variable
-//! (`off` / `summary` / `jsonl:<path>`) on first use, or from the CLI
-//! `--trace[=…]` flag via [`set_mode_spec`].
+//! [`counter_add`] and [`record_value`] record once whenever either bit
+//! is set; spans and instant events record only while tracing. With both
+//! bits clear every call site costs one relaxed atomic load, the same
+//! pattern as `VPEC_AUDIT`.
 //!
 //! JSONL lines carry a monotonic `seq` field, contiguous from 1 per
-//! sink, validated by [`validate_jsonl`]. Counters can additionally be
-//! forwarded to an external registry via [`set_counter_bridge`]
-//! (installed by `vpec-metrics`), independent of the trace mode.
+//! sink, validated by [`validate_jsonl`].
 //!
 //! # Example
 //!
@@ -59,7 +67,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod histogram;
 pub mod json;
+
+pub use histogram::{bucket_bound, Histogram, HistogramSnapshot, BUCKET_COUNT};
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -75,9 +86,9 @@ use std::time::Instant;
 pub enum TraceMode {
     /// No tracing; every gate costs one relaxed atomic load.
     Off = 0,
-    /// Collect in memory for the human-readable [`summary_tree`].
+    /// Aggregate in memory for the human-readable [`summary_tree`].
     Summary = 1,
-    /// Collect in memory *and* stream JSONL events to a file.
+    /// Aggregate in memory *and* stream JSONL events to a file.
     Jsonl = 2,
 }
 
@@ -100,162 +111,111 @@ impl TraceMode {
     }
 }
 
-/// Sentinel meaning "not yet resolved from the environment".
-const MODE_UNSET: u8 = u8::MAX;
+/// The one enable gate: bits 0–1 hold the [`TraceMode`], bit 2 the
+/// registry, bit 7 says the mode has not been resolved from the
+/// environment yet. A single relaxed load answers every hot-path check.
+static GATE: AtomicU8 = AtomicU8::new(UNRESOLVED);
+const MODE_BITS: u8 = 0b0000_0011;
+const REGISTRY: u8 = 0b0000_0100;
+const RECORDING: u8 = MODE_BITS | REGISTRY;
+const UNRESOLVED: u8 = 0b1000_0000;
 
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-/// Combined hot-path gate for [`counter_add`]: bit 0 = tracing enabled,
-/// bit 1 = a counter bridge is installed, bit 7 = the trace mode has not
-/// been resolved from the environment yet. Folding both consumers into
-/// one atomic keeps the fully-disabled cost at a single relaxed load.
-const GATE_TRACE: u8 = 0b0000_0001;
-const GATE_BRIDGE: u8 = 0b0000_0010;
-const GATE_UNRESOLVED: u8 = 0b1000_0000;
-
-static GATES: AtomicU8 = AtomicU8::new(GATE_UNRESOLVED);
-static BRIDGE: OnceLock<fn(&str, u64)> = OnceLock::new();
-
-/// Stores a resolved trace mode, keeping the bridge bit intact.
-fn store_mode(m: TraceMode) {
-    MODE.store(m as u8, Ordering::Relaxed);
-    let bridge = GATES.load(Ordering::Relaxed) & GATE_BRIDGE;
-    let trace = if m == TraceMode::Off { 0 } else { GATE_TRACE };
-    GATES.store(bridge | trace, Ordering::Relaxed);
-}
-
-/// The counter gate, resolving the trace mode from the environment on
-/// first use.
-fn gates() -> u8 {
-    let g = GATES.load(Ordering::Relaxed);
-    if g & GATE_UNRESOLVED == 0 {
-        return g;
-    }
-    let _ = mode();
-    GATES.load(Ordering::Relaxed)
-}
-
-/// Installs a process-wide bridge that receives every [`counter_add`]
-/// call — name and delta — *regardless of the trace mode*. The metrics
-/// registry (`vpec-metrics`) uses this so existing trace counters
-/// surface in its snapshots without re-instrumenting call sites. The
-/// first installed bridge wins; installing is idempotent and cannot be
-/// undone (the bridge itself is expected to gate on its own atomic).
-pub fn set_counter_bridge(bridge: fn(&str, u64)) {
-    let _ = BRIDGE.set(bridge);
-    GATES.fetch_or(GATE_BRIDGE, Ordering::Relaxed);
-}
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(0);
 static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static STATE: OnceLock<Mutex<State>> = OnceLock::new();
 
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<SpanRef>> = const { RefCell::new(Vec::new()) };
     static THREAD_ID: RefCell<Option<u32>> = const { RefCell::new(None) };
 }
 
-/// Per-series statistics with a coarse log₂ histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValueStat {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Smallest recorded value.
-    pub min: f64,
-    /// Largest recorded value.
-    pub max: f64,
-    /// Sum of recorded values (mean = `sum / count`).
-    pub sum: f64,
-    /// Log₂ magnitude buckets: `buckets[i]` counts values `v` with
-    /// `⌊log₂(max(v, 0) + 1)⌋ = i`, saturating in the last bucket.
-    pub buckets: [u64; 16],
+/// Stores a resolved trace mode, keeping the registry bit intact.
+fn store_mode(m: TraceMode) {
+    let _ = GATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |g| {
+        Some((g & REGISTRY) | m as u8)
+    });
 }
 
-impl ValueStat {
-    fn new() -> ValueStat {
-        ValueStat {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            buckets: [0; 16],
-        }
-    }
-
-    fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += v;
-        let idx = (v.max(0.0) + 1.0).log2().floor() as usize;
-        self.buckets[idx.min(15)] += 1;
-    }
-
-    /// Mean of the recorded values (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
+/// The gate, resolving the trace mode from the environment on first use.
+#[inline]
+fn gate() -> u8 {
+    let g = GATE.load(Ordering::Relaxed);
+    if g & UNRESOLVED == 0 {
+        g
+    } else {
+        resolve_gate()
     }
 }
 
-/// A closed span as retained by the in-memory collector.
-#[derive(Debug, Clone)]
-pub struct ClosedSpan {
-    /// Process-unique span id.
-    pub id: u64,
-    /// Parent span id, if the span was opened inside another.
-    pub parent: Option<u64>,
-    /// Span name (e.g. `"transient.factor"`).
-    pub name: String,
-    /// Small integer id of the thread that ran the span.
-    pub thread: u32,
-    /// Open time, microseconds since the process trace epoch.
-    pub start_us: f64,
-    /// Wall-clock duration in microseconds.
-    pub dur_us: f64,
-    /// Attributes attached via [`SpanGuard::set_attr`].
-    pub attrs: Vec<(String, String)>,
+/// Resolves the trace mode from `VPEC_TRACE`; kept out of line so the
+/// inlined hot-path check stays one load and one branch.
+#[cold]
+#[inline(never)]
+fn resolve_gate() -> u8 {
+    let spec = std::env::var("VPEC_TRACE").unwrap_or_default();
+    if let Err(e) = set_mode_spec(&spec) {
+        eprintln!("warning: invalid VPEC_TRACE ({e}); tracing disabled");
+        store_mode(TraceMode::Off);
+    }
+    GATE.load(Ordering::Relaxed)
 }
 
+/// Wall time and count of the spans closed under one name or path.
+#[derive(Debug, Clone, Copy, Default)]
+struct Total {
+    count: u64,
+    us: f64,
+}
+
+/// Per-name span totals.
 #[derive(Debug)]
-struct OpenSpan {
+struct Phase {
     name: String,
-    parent: Option<u64>,
+    total: Total,
 }
 
-#[derive(Debug, Clone)]
-struct InstantEvent {
-    name: String,
-    #[allow(dead_code)]
-    thread: u32,
-    #[allow(dead_code)]
-    t_us: f64,
-    #[allow(dead_code)]
-    detail: String,
+/// One node of the span tree: every span with the same parent node and
+/// name closes into it.
+#[derive(Debug)]
+struct Node {
+    phase: usize,
+    children: Vec<usize>,
+    total: Total,
 }
 
 struct State {
+    /// Bumped by [`reset`]; guards, parent links and marks taken before
+    /// it refer to nodes that no longer exist and are ignored.
+    generation: u32,
     jsonl: Option<BufWriter<File>>,
     /// Sequence number stamped on the next JSONL line; restarts at 1
     /// whenever a sink opens, so every stream is contiguous from 1 and
     /// post-hoc tools can detect dropped or reordered lines.
     next_seq: u64,
-    open: HashMap<u64, OpenSpan>,
-    closed: Vec<ClosedSpan>,
+    /// [`finish`] already wrote the counter/stat tail to this sink.
+    tail_written: bool,
+    phases: Vec<Phase>,
+    nodes: Vec<Node>,
+    roots: Vec<usize>,
+    instants: HashMap<String, u64>,
     counters: BTreeMap<String, u64>,
-    stats: BTreeMap<String, ValueStat>,
-    instants: Vec<InstantEvent>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 impl State {
-    fn new() -> State {
+    fn new(generation: u32) -> State {
         State {
+            generation,
             jsonl: None,
             next_seq: 1,
-            open: HashMap::new(),
-            closed: Vec::new(),
+            tail_written: false,
+            phases: Vec::new(),
+            nodes: Vec::new(),
+            roots: Vec::new(),
+            instants: HashMap::new(),
             counters: BTreeMap::new(),
-            stats: BTreeMap::new(),
-            instants: Vec::new(),
+            histograms: BTreeMap::new(),
         }
     }
 
@@ -275,14 +235,90 @@ impl State {
             let _ = w.flush();
         }
     }
-}
 
-fn state() -> &'static Mutex<State> {
-    STATE.get_or_init(|| Mutex::new(State::new()))
+    fn name(&self, node: usize) -> &str {
+        &self.phases[self.nodes[node].phase].name
+    }
+
+    /// The node named `name` under `parent` (a root when `None`),
+    /// created on first use. Allocates only for a new name or path.
+    fn node(&mut self, parent: Option<usize>, name: &str) -> usize {
+        let siblings = match parent {
+            Some(p) => &self.nodes[p].children,
+            None => &self.roots,
+        };
+        if let Some(&n) = siblings.iter().find(|&&n| self.name(n) == name) {
+            return n;
+        }
+        let phase = match self.phases.iter().position(|p| p.name == name) {
+            Some(i) => i,
+            None => {
+                self.phases.push(Phase {
+                    name: name.to_string(),
+                    total: Total::default(),
+                });
+                self.phases.len() - 1
+            }
+        };
+        let n = self.nodes.len();
+        self.nodes.push(Node {
+            phase,
+            children: Vec::new(),
+            total: Total::default(),
+        });
+        match parent {
+            Some(p) => self.nodes[p].children.push(n),
+            None => self.roots.push(n),
+        }
+        n
+    }
+
+    fn close(&mut self, node: usize, dur_us: f64) {
+        let phase = self.nodes[node].phase;
+        for total in [&mut self.nodes[node].total, &mut self.phases[phase].total] {
+            total.count += 1;
+            total.us += dur_us;
+        }
+    }
+
+    /// The span tree depth-first, children in name order: the name path
+    /// and totals of every node that has closed at least once.
+    fn paths(&self) -> Vec<(Vec<&str>, Total)> {
+        let mut out = Vec::new();
+        self.collect_paths(&self.roots, &mut Vec::new(), &mut out);
+        out
+    }
+
+    fn collect_paths<'a>(
+        &'a self,
+        siblings: &[usize],
+        path: &mut Vec<&'a str>,
+        out: &mut Vec<(Vec<&'a str>, Total)>,
+    ) {
+        let mut sorted = siblings.to_vec();
+        sorted.sort_by(|&a, &b| self.name(a).cmp(self.name(b)));
+        for n in sorted {
+            path.push(self.name(n));
+            if self.nodes[n].total.count > 0 {
+                out.push((path.clone(), self.nodes[n].total));
+            }
+            self.collect_paths(&self.nodes[n].children, path, out);
+            path.pop();
+        }
+    }
+
+    /// Snapshots of the non-empty value histograms.
+    fn histogram_snapshots(&self) -> BTreeMap<String, HistogramSnapshot> {
+        self.histograms
+            .iter()
+            .filter_map(|(k, h)| h.snapshot().map(|s| (k.clone(), s)))
+            .collect()
+    }
 }
 
 fn lock_state() -> std::sync::MutexGuard<'static, State> {
-    match state().lock() {
+    let state = STATE.get_or_init(|| Mutex::new(State::new(0)));
+    match state.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -305,27 +341,26 @@ fn thread_id() -> u32 {
 /// variable, defaulting to [`TraceMode::Off`]; thereafter the cached value
 /// is returned (one relaxed atomic load).
 pub fn mode() -> TraceMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_UNSET => {
-            let spec = std::env::var("VPEC_TRACE").unwrap_or_default();
-            match set_mode_spec(&spec) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("warning: invalid VPEC_TRACE ({e}); tracing disabled");
-                    store_mode(TraceMode::Off);
-                    TraceMode::Off
-                }
-            }
-        }
-        v => TraceMode::from_u8(v),
-    }
+    TraceMode::from_u8(gate() & MODE_BITS)
 }
 
-/// `true` when any sink is active. This is the hot-path gate: a single
-/// relaxed atomic load once the mode has been resolved.
+/// `true` when tracing is on (any sink active). This is the hot-path
+/// gate: a single relaxed atomic load once the mode has been resolved.
 #[inline]
 pub fn enabled() -> bool {
-    mode() != TraceMode::Off
+    gate() & MODE_BITS != 0
+}
+
+/// Turns the registry on: from now on [`counter_add`] and
+/// [`record_value`] record even with tracing off, for [`snapshot`] to
+/// export. Idempotent; independent of the trace mode.
+pub fn install() {
+    GATE.fetch_or(REGISTRY, Ordering::Relaxed);
+}
+
+/// Turns the registry off again. Recorded values stay until [`reset`].
+pub fn uninstall() {
+    GATE.fetch_and(!REGISTRY, Ordering::Relaxed);
 }
 
 /// Validates a trace-mode spec without applying it or touching the
@@ -368,48 +403,66 @@ pub fn parse_mode_spec(spec: &str) -> Result<TraceMode, String> {
 /// unopenable path is an error and leaves the previous mode in place.
 pub fn set_mode_spec(spec: &str) -> Result<TraceMode, String> {
     let resolved = parse_mode_spec(spec)?;
-    if resolved == TraceMode::Jsonl {
-        let path = spec.trim().strip_prefix("jsonl:").expect("checked above");
-        let file = File::create(path)
-            .map_err(|e| format!("cannot open trace file {path:?}: {e}"))?;
-        let mut st = lock_state();
-        if let Some(mut old) = st.jsonl.take() {
-            let _ = old.flush();
+    let sink = match resolved {
+        TraceMode::Jsonl => {
+            let path = spec.trim().strip_prefix("jsonl:").expect("checked above");
+            let file =
+                File::create(path).map_err(|e| format!("cannot open trace file {path:?}: {e}"))?;
+            Some(BufWriter::new(file))
         }
-        st.jsonl = Some(BufWriter::new(file));
-        st.next_seq = 1;
-        drop(st);
-        store_mode(TraceMode::Jsonl);
-        return Ok(TraceMode::Jsonl);
-    }
-    // Off / Summary: drop any previous jsonl sink.
+        _ => None,
+    };
     {
         let mut st = lock_state();
         if let Some(mut old) = st.jsonl.take() {
             let _ = old.flush();
         }
+        st.jsonl = sink;
+        st.next_seq = 1;
+        st.tail_written = false;
     }
     store_mode(resolved);
     Ok(resolved)
 }
 
-/// Clears all collected data and sets a fresh mode (tests, repeated CLI
-/// invocations in one process). Accepts the same specs as
-/// [`set_mode_spec`].
+/// Clears all recorded data — span tree, counters, histograms, instant
+/// counts — and sets a fresh mode (tests, repeated CLI invocations in one
+/// process). Accepts the same specs as [`set_mode_spec`]; the registry
+/// bit is left as it was.
 pub fn reset(spec: &str) -> Result<TraceMode, String> {
     {
         let mut st = lock_state();
-        *st = State::new();
+        let generation = st.generation.wrapping_add(1);
+        *st = State::new(generation);
     }
     store_mode(TraceMode::Off);
     set_mode_spec(spec)
+}
+
+/// A handle on an open span, captured by [`current_span`] for
+/// [`parent_scope`] on another thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanRef {
+    id: u64,
+    node: usize,
+    generation: u32,
+}
+
+/// Removes span `id` from the calling thread's span stack.
+fn unlink(id: u64) {
+    SPAN_STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        if let Some(pos) = stack.iter().rposition(|l| l.id == id) {
+            stack.remove(pos);
+        }
+    });
 }
 
 /// RAII guard for one span. Created by [`span`]; the span closes when the
 /// guard drops. When tracing is off the guard is inert.
 #[derive(Debug)]
 pub struct SpanGuard {
-    id: Option<u64>,
+    link: Option<SpanRef>,
     start_us: f64,
     attrs: Vec<(String, String)>,
 }
@@ -417,14 +470,14 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// `true` when the span is actually recording.
     pub fn is_active(&self) -> bool {
-        self.id.is_some()
+        self.link.is_some()
     }
 
-    /// Attaches a string attribute, recorded on the close event. Values
-    /// are only formatted when the span is active, so passing cheap
-    /// display types costs nothing with tracing off.
+    /// Attaches a string attribute, streamed on the JSONL close event.
+    /// Values are only formatted when the span is active, so passing
+    /// cheap display types costs nothing with tracing off.
     pub fn set_attr(&mut self, key: &str, value: impl std::fmt::Display) {
-        if self.id.is_some() {
+        if self.link.is_some() {
             self.attrs.push((key.to_string(), value.to_string()));
         }
     }
@@ -438,21 +491,19 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(id) = self.id else { return };
+        let Some(link) = self.link else { return };
         let end_us = now_us();
-        SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|&x| x == id) {
-                stack.remove(pos);
-            }
-        });
         let dur_us = end_us - self.start_us;
+        unlink(link.id);
         let mut st = lock_state();
-        let Some(info) = st.open.remove(&id) else { return };
+        if link.generation != st.generation {
+            return;
+        }
         if st.jsonl.is_some() {
             let mut line = format!(
-                "{{\"ev\":\"close\",\"id\":{id},\"name\":\"{}\",\"t_us\":{end_us:.3},\"dur_us\":{dur_us:.3}",
-                json::escape(&info.name)
+                "{{\"ev\":\"close\",\"id\":{},\"name\":\"{}\",\"t_us\":{end_us:.3},\"dur_us\":{dur_us:.3}",
+                link.id,
+                json::escape(st.name(link.node))
             );
             if !self.attrs.is_empty() {
                 line.push_str(",\"attrs\":{");
@@ -467,15 +518,7 @@ impl Drop for SpanGuard {
             line.push('}');
             st.write_line(&line);
         }
-        st.closed.push(ClosedSpan {
-            id,
-            parent: info.parent,
-            name: info.name,
-            thread: thread_id(),
-            start_us: self.start_us,
-            dur_us,
-            attrs: std::mem::take(&mut self.attrs),
-        });
+        st.close(link.node, dur_us);
     }
 }
 
@@ -485,24 +528,24 @@ impl Drop for SpanGuard {
 pub fn span(name: &str) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
-            id: None,
+            link: None,
             start_us: 0.0,
             attrs: Vec::new(),
         };
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed) + 1;
-    let parent = SPAN_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let parent = stack.last().copied();
-        stack.push(id);
-        parent
-    });
+    let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
     let thread = thread_id();
     let start_us = now_us();
     let mut st = lock_state();
+    let generation = st.generation;
+    let parent_node = parent
+        .filter(|p| p.generation == generation)
+        .map(|p| p.node);
+    let node = st.node(parent_node, name);
     if st.jsonl.is_some() {
         let parent_txt = match parent {
-            Some(p) => p.to_string(),
+            Some(p) => p.id.to_string(),
             None => "null".to_string(),
         };
         let line = format!(
@@ -511,15 +554,15 @@ pub fn span(name: &str) -> SpanGuard {
         );
         st.write_line(&line);
     }
-    st.open.insert(
+    drop(st);
+    let link = SpanRef {
         id,
-        OpenSpan {
-            name: name.to_string(),
-            parent,
-        },
-    );
+        node,
+        generation,
+    };
+    SPAN_STACK.with(|s| s.borrow_mut().push(link));
     SpanGuard {
-        id: Some(id),
+        link: Some(link),
         start_us,
         attrs: Vec::new(),
     }
@@ -539,10 +582,10 @@ macro_rules! span {
     }};
 }
 
-/// The calling thread's innermost active span id, for handing to
+/// The calling thread's innermost active span, for handing to
 /// [`parent_scope`] on a worker thread. `None` when tracing is off or no
 /// span is open.
-pub fn current_span() -> Option<u64> {
+pub fn current_span() -> Option<SpanRef> {
     if !enabled() {
         return None;
     }
@@ -559,45 +602,30 @@ pub struct ParentScope {
 impl Drop for ParentScope {
     fn drop(&mut self) {
         if let Some(id) = self.id {
-            SPAN_STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                if let Some(pos) = stack.iter().rposition(|&x| x == id) {
-                    stack.remove(pos);
-                }
-            });
+            unlink(id);
         }
     }
 }
 
-/// Links spans opened on this (worker) thread to `parent`, a span id
+/// Links spans opened on this (worker) thread to `parent`, a span
 /// captured with [`current_span`] on the submitting thread. The link is
 /// removed when the returned guard drops. Inert when `parent` is `None`
 /// or tracing is off.
-pub fn parent_scope(parent: Option<u64>) -> ParentScope {
+pub fn parent_scope(parent: Option<SpanRef>) -> ParentScope {
     match parent {
-        Some(id) if enabled() => {
-            SPAN_STACK.with(|s| s.borrow_mut().push(id));
-            ParentScope { id: Some(id) }
+        Some(link) if enabled() => {
+            SPAN_STACK.with(|s| s.borrow_mut().push(link));
+            ParentScope { id: Some(link.id) }
         }
         _ => ParentScope { id: None },
     }
 }
 
-/// Adds `delta` to the named counter. Forwarded to the
-/// [`set_counter_bridge`] hook when one is installed (even with tracing
-/// off); recorded by the tracer only when tracing is on. When both are
-/// off the call costs one relaxed atomic load.
+/// Adds `delta` to the named counter. Records when tracing or the
+/// registry is on; when both are off the call costs one relaxed atomic
+/// load.
 pub fn counter_add(name: &str, delta: u64) {
-    let g = gates();
-    if g == 0 || delta == 0 {
-        return;
-    }
-    if g & GATE_BRIDGE != 0 {
-        if let Some(bridge) = BRIDGE.get() {
-            bridge(name, delta);
-        }
-    }
-    if g & GATE_TRACE == 0 {
+    if delta == 0 || gate() & RECORDING == 0 {
         return;
     }
     let mut st = lock_state();
@@ -611,25 +639,27 @@ pub fn counter_add(name: &str, delta: u64) {
     }
 }
 
-/// Records one value into the named stat series (min/mean/max + log₂
-/// histogram). A no-op when tracing is off.
+/// Records one value into the named [`Histogram`] (a latency in ms, a
+/// size, …). Records when tracing or the registry is on; when both are
+/// off the call costs one relaxed atomic load.
 pub fn record_value(name: &str, value: f64) {
-    if !enabled() {
+    if gate() & RECORDING == 0 {
         return;
     }
     let mut st = lock_state();
-    match st.stats.get_mut(name) {
-        Some(s) => s.record(value),
+    match st.histograms.get_mut(name) {
+        Some(h) => h.record(value),
         None => {
-            let mut s = ValueStat::new();
-            s.record(value);
-            st.stats.insert(name.to_string(), s);
+            let mut h = Histogram::new();
+            h.record(value);
+            st.histograms.insert(name.to_string(), h);
         }
     }
 }
 
 /// Emits a point-in-time event (e.g. one per transient retry) with a
-/// human-readable detail string. A no-op when tracing is off.
+/// human-readable detail string: counted per name, and streamed in JSONL
+/// mode. A no-op when tracing is off.
 pub fn instant_event(name: &str, detail: &str) {
     if !enabled() {
         return;
@@ -645,66 +675,69 @@ pub fn instant_event(name: &str, detail: &str) {
         );
         st.write_line(&line);
     }
-    st.instants.push(InstantEvent {
-        name: name.to_string(),
-        thread,
-        t_us,
-        detail: detail.to_string(),
-    });
+    match st.instants.get_mut(name) {
+        Some(n) => *n += 1,
+        None => {
+            st.instants.insert(name.to_string(), 1);
+        }
+    }
 }
 
-/// Current value of a counter (0 if never incremented). Test helper.
+/// Current value of a counter (0 if never incremented).
 pub fn counter_value(name: &str) -> u64 {
-    if !enabled() {
-        return 0;
-    }
     lock_state().counters.get(name).copied().unwrap_or(0)
 }
 
-/// Number of recorded instant events with the given name. Test helper.
-pub fn instant_count(name: &str) -> usize {
-    if !enabled() {
-        return 0;
-    }
-    lock_state()
-        .instants
-        .iter()
-        .filter(|e| e.name == name)
-        .count()
+/// Number of instant events recorded under `name`.
+pub fn instant_count(name: &str) -> u64 {
+    lock_state().instants.get(name).copied().unwrap_or(0)
 }
 
-/// Number of spans closed so far (all names). Test helper.
-pub fn closed_span_count() -> usize {
-    if !enabled() {
-        return 0;
-    }
-    lock_state().closed.len()
+/// Point-in-time copy of the counters and value histograms, for the
+/// run ledger and the exposition file.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Snapshot {
+    /// Monotonic counters by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Histogram snapshots by name (empty histograms are omitted).
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-/// Snapshot of the closed spans retained by the collector. Test helper.
-pub fn closed_spans() -> Vec<ClosedSpan> {
-    if !enabled() {
-        return Vec::new();
+/// Snapshots every counter and value histogram recorded since the last
+/// [`reset`].
+#[must_use]
+pub fn snapshot() -> Snapshot {
+    let st = lock_state();
+    Snapshot {
+        counters: st.counters.clone(),
+        histograms: st.histogram_snapshots(),
     }
-    lock_state().closed.clone()
 }
 
-/// A position in the event stream, for [`phase_totals_since`].
-#[derive(Debug, Clone, Copy)]
-pub struct Mark(usize);
+/// Per-name span totals at one moment, for [`phase_totals_since`].
+#[derive(Debug, Clone, Default)]
+pub struct Mark {
+    generation: u32,
+    totals: Vec<Total>,
+}
 
-/// Marks the current position in the closed-span stream.
+/// Snapshots the per-name span totals (empty when tracing is off).
 pub fn mark() -> Mark {
     if !enabled() {
-        return Mark(0);
+        return Mark::default();
     }
-    Mark(lock_state().closed.len())
+    let st = lock_state();
+    Mark {
+        generation: st.generation,
+        totals: st.phases.iter().map(|p| p.total).collect(),
+    }
 }
 
-/// Wall-time total for one span name.
+/// Wall-time total for one span name (or, from [`path_totals`], one
+/// span path).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTotal {
-    /// Span name.
+    /// Span name, or `/`-joined span path.
     pub name: String,
     /// Number of spans closed under this name.
     pub count: u64,
@@ -712,29 +745,53 @@ pub struct PhaseTotal {
     pub seconds: f64,
 }
 
-/// Aggregates spans closed since `mark` by name, sorted by descending
-/// total time. Empty when tracing is off.
-pub fn phase_totals_since(mark: Mark) -> Vec<PhaseTotal> {
+/// Per-name totals of the spans closed since `mark`, sorted by
+/// descending total time. Empty when tracing is off.
+pub fn phase_totals_since(mark: &Mark) -> Vec<PhaseTotal> {
     if !enabled() {
         return Vec::new();
     }
     let st = lock_state();
-    let mut by_name: BTreeMap<&str, (u64, f64)> = BTreeMap::new();
-    for span in st.closed.iter().skip(mark.0) {
-        let e = by_name.entry(&span.name).or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += span.dur_us;
-    }
-    let mut totals: Vec<PhaseTotal> = by_name
-        .into_iter()
-        .map(|(name, (count, us))| PhaseTotal {
-            name: name.to_string(),
-            count,
-            seconds: us * 1e-6,
+    let before: &[Total] = if mark.generation == st.generation {
+        &mark.totals
+    } else {
+        &[]
+    };
+    let mut totals: Vec<PhaseTotal> = st
+        .phases
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| {
+            let b = before.get(i).copied().unwrap_or_default();
+            let count = p.total.count.saturating_sub(b.count);
+            (count > 0).then(|| PhaseTotal {
+                name: p.name.clone(),
+                count,
+                seconds: (p.total.us - b.us) * 1e-6,
+            })
         })
         .collect();
-    totals.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
+    totals.sort_by(|a, b| {
+        b.seconds
+            .total_cmp(&a.seconds)
+            .then_with(|| a.name.cmp(&b.name))
+    });
     totals
+}
+
+/// The aggregated span tree: one entry per distinct span path (names
+/// joined by `/`) that has closed at least once, depth-first with
+/// children in name order.
+pub fn path_totals() -> Vec<PhaseTotal> {
+    let st = lock_state();
+    st.paths()
+        .into_iter()
+        .map(|(path, t)| PhaseTotal {
+            name: path.join("/"),
+            count: t.count,
+            seconds: t.us * 1e-6,
+        })
+        .collect()
 }
 
 fn fmt_us(us: f64) -> String {
@@ -755,53 +812,24 @@ pub fn summary_tree() -> String {
         return String::new();
     }
     let st = lock_state();
-    if st.closed.is_empty() && st.counters.is_empty() && st.stats.is_empty() {
+    let paths = st.paths();
+    let stats = st.histogram_snapshots();
+    if paths.is_empty() && st.counters.is_empty() && stats.is_empty() {
         return String::new();
     }
-
-    // Name lookup across closed and still-open spans so parent chains
-    // resolve even for spans whose parent has not closed yet.
-    let mut names: HashMap<u64, (&str, Option<u64>)> = HashMap::new();
-    for s in &st.closed {
-        names.insert(s.id, (s.name.as_str(), s.parent));
-    }
-    for (id, info) in &st.open {
-        names.insert(*id, (info.name.as_str(), info.parent));
-    }
-
-    // Aggregate closed spans by their full name path.
-    let mut agg: BTreeMap<Vec<String>, (u64, f64)> = BTreeMap::new();
-    for s in &st.closed {
-        let mut path = vec![s.name.clone()];
-        let mut cur = s.parent;
-        let mut depth = 0;
-        while let Some(pid) = cur {
-            if depth > 64 {
-                break;
-            }
-            match names.get(&pid) {
-                Some((name, parent)) => {
-                    path.push((*name).to_string());
-                    cur = *parent;
-                }
-                None => break,
-            }
-            depth += 1;
-        }
-        path.reverse();
-        let e = agg.entry(path).or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += s.dur_us;
-    }
-
     let mut out = String::from("trace summary:\n");
-    if !agg.is_empty() {
+    if !paths.is_empty() {
         out.push_str("  span tree (count, total wall time):\n");
-        for (path, (count, us)) in &agg {
+        for (path, t) in &paths {
             let indent = "  ".repeat(path.len() + 1);
-            let name = path.last().map(String::as_str).unwrap_or("?");
+            let name = path.last().copied().unwrap_or("?");
             let label = format!("{indent}{name}");
-            let _ = writeln!(out, "{label:<42} {count:>5}\u{d7}  {:>12}", fmt_us(*us));
+            let _ = writeln!(
+                out,
+                "{label:<42} {:>5}\u{d7}  {:>12}",
+                t.count,
+                fmt_us(t.us)
+            );
         }
     }
     if !st.counters.is_empty() {
@@ -811,60 +839,59 @@ pub fn summary_tree() -> String {
             let _ = writeln!(out, "{label:<42} {value:>12}");
         }
     }
-    if !st.stats.is_empty() {
+    if !stats.is_empty() {
         out.push_str("  stats (count / min / mean / max):\n");
-        for (name, stat) in &st.stats {
+        for (name, s) in &stats {
             let label = format!("    {name}");
             let _ = writeln!(
                 out,
                 "{label:<42} {:>5}\u{d7}  {:.3} / {:.3} / {:.3}",
-                stat.count,
-                stat.min,
-                stat.mean(),
-                stat.max
+                s.count,
+                s.min,
+                s.sum / s.count as f64,
+                s.max
             );
         }
     }
     out
 }
 
-/// Flushes the active sink: for JSONL, counters and stats are written as
-/// `counter`/`stat` events followed by a `finish` event, then drained so
-/// a later `finish` does not duplicate them. Safe to call repeatedly and
-/// in any mode.
+/// Flushes the active sink. For JSONL, the first call writes the counters
+/// and value stats as `counter`/`stat` events followed by a `finish`
+/// event; later calls only flush. The recorded values stay in place for
+/// [`snapshot`] and [`summary_tree`]. Safe to call repeatedly and in any
+/// mode.
 pub fn finish() {
     if !enabled() {
         return;
     }
     let mut st = lock_state();
-    if st.jsonl.is_some() {
-        let counters: Vec<(String, u64)> =
-            st.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        for (name, value) in counters {
-            let line = format!(
-                "{{\"ev\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                json::escape(&name)
-            );
-            st.write_line(&line);
-        }
-        let stats: Vec<(String, ValueStat)> =
-            st.stats.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        for (name, s) in stats {
-            let line = format!(
+    if st.jsonl.is_some() && !st.tail_written {
+        st.tail_written = true;
+        let mut tail: Vec<String> = st
+            .counters
+            .iter()
+            .map(|(name, value)| {
+                format!(
+                    "{{\"ev\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
+                    json::escape(name)
+                )
+            })
+            .collect();
+        for (name, s) in st.histogram_snapshots() {
+            tail.push(format!(
                 "{{\"ev\":\"stat\",\"name\":\"{}\",\"count\":{},\"min\":{},\"max\":{},\"sum\":{}}}",
                 json::escape(&name),
                 s.count,
                 fmt_json_f64(s.min),
                 fmt_json_f64(s.max),
                 fmt_json_f64(s.sum)
-            );
-            st.write_line(&line);
+            ));
         }
-        let t_us = now_us();
-        let line = format!("{{\"ev\":\"finish\",\"t_us\":{t_us:.3}}}");
-        st.write_line(&line);
-        st.counters.clear();
-        st.stats.clear();
+        tail.push(format!("{{\"ev\":\"finish\",\"t_us\":{:.3}}}", now_us()));
+        for line in &tail {
+            st.write_line(line);
+        }
     }
     if let Some(w) = st.jsonl.as_mut() {
         let _ = w.flush();
@@ -1002,10 +1029,12 @@ mod tests {
             instant_event("e", "detail");
         }
         assert!(!enabled());
-        assert_eq!(closed_span_count(), 0);
+        assert!(path_totals().is_empty());
         assert_eq!(counter_value("c"), 0);
+        assert_eq!(instant_count("e"), 0);
         assert_eq!(summary_tree(), "");
-        assert!(phase_totals_since(mark()).is_empty());
+        assert!(phase_totals_since(&mark()).is_empty());
+        assert_eq!(snapshot(), Snapshot::default());
     }
 
     #[test]
@@ -1021,16 +1050,18 @@ mod tests {
                 let _inner = span("inner");
             }
         }
-        let spans = closed_spans();
-        assert_eq!(spans.len(), 3);
-        let outer = spans.iter().find(|s| s.name == "outer").unwrap();
-        for inner in spans.iter().filter(|s| s.name == "inner") {
-            assert_eq!(inner.parent, Some(outer.id));
-        }
+        let paths: Vec<(String, u64)> = path_totals()
+            .into_iter()
+            .map(|t| (t.name, t.count))
+            .collect();
+        assert_eq!(
+            paths,
+            vec![("outer".to_string(), 1), ("outer/inner".to_string(), 2)]
+        );
         let tree = summary_tree();
         assert!(tree.contains("outer"), "{tree}");
         assert!(tree.contains("inner"), "{tree}");
-        let totals = phase_totals_since(Mark(0));
+        let totals = phase_totals_since(&Mark::default());
         let inner = totals.iter().find(|t| t.name == "inner").unwrap();
         assert_eq!(inner.count, 2);
         reset("off").unwrap();
@@ -1040,23 +1071,22 @@ mod tests {
     fn parent_scope_links_across_threads() {
         let _g = guard();
         reset("summary").unwrap();
-        let parent_id;
         {
             let _outer = span("submit");
-            parent_id = current_span();
-            assert!(parent_id.is_some());
+            let parent = current_span();
+            assert!(parent.is_some());
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    let _link = parent_scope(parent_id);
+                    let _link = parent_scope(parent);
                     let _w = span("worker");
                 });
             });
         }
-        let spans = closed_spans();
-        let worker = spans.iter().find(|s| s.name == "worker").unwrap();
-        assert_eq!(worker.parent, parent_id);
-        let submit = spans.iter().find(|s| s.name == "submit").unwrap();
-        assert_ne!(worker.thread, submit.thread);
+        let paths: Vec<String> = path_totals().into_iter().map(|t| t.name).collect();
+        assert_eq!(
+            paths,
+            vec!["submit".to_string(), "submit/worker".to_string()]
+        );
         reset("off").unwrap();
     }
 
@@ -1151,10 +1181,142 @@ mod tests {
         {
             let _s = span!("macro.span", "dim" => 42, "mode" => "parallel");
         }
-        let spans = closed_spans();
-        let s = spans.iter().find(|s| s.name == "macro.span").unwrap();
-        assert!(s.attrs.contains(&("dim".to_string(), "42".to_string())));
-        assert!(s.attrs.contains(&("mode".to_string(), "parallel".to_string())));
+        assert_eq!(path_totals().len(), 1);
+        reset("off").unwrap();
+        let path = std::env::temp_dir().join("vpec_trace_unit_attrs.jsonl");
+        reset(&format!("jsonl:{}", path.display())).unwrap();
+        {
+            let _s = span!("macro.span", "dim" => 42, "mode" => "parallel");
+        }
+        reset("off").unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            content.contains("\"attrs\":{\"dim\":\"42\",\"mode\":\"parallel\"}"),
+            "{content}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn counter_with_tracing_off_reaches_the_registry_snapshot() {
+        let _g = guard();
+        reset("off").unwrap();
+        install();
+        assert!(!enabled());
+        counter_add("store.only", 4);
+        record_value("store.latency_ms", 2.5);
+        let snap = snapshot();
+        uninstall();
+        assert_eq!(snap.counters.get("store.only"), Some(&4));
+        assert_eq!(
+            snap.histograms.get("store.latency_ms").map(|h| h.count),
+            Some(1)
+        );
+        reset("off").unwrap();
+    }
+
+    #[test]
+    fn counter_with_registry_off_reaches_the_summary() {
+        let _g = guard();
+        uninstall();
+        reset("summary").unwrap();
+        counter_add("store.only", 4);
+        let tree = summary_tree();
+        assert!(tree.contains("store.only"), "{tree}");
+        assert_eq!(snapshot().counters.get("store.only"), Some(&4));
+        reset("off").unwrap();
+    }
+
+    #[test]
+    fn counters_record_once_with_both_bits_set() {
+        let _g = guard();
+        reset("summary").unwrap();
+        install();
+        counter_add("both", 3);
+        record_value("both.v", 1.0);
+        let snap = snapshot();
+        uninstall();
+        assert_eq!(snap.counters.get("both"), Some(&3));
+        assert_eq!(snap.histograms.get("both.v").map(|h| h.count), Some(1));
+        reset("off").unwrap();
+    }
+
+    #[test]
+    fn jsonl_finish_writes_the_tail_once_and_keeps_the_store() {
+        let _g = guard();
+        let path = std::env::temp_dir().join("vpec_trace_unit_finish.jsonl");
+        reset(&format!("jsonl:{}", path.display())).unwrap();
+        counter_add("n", 7);
+        record_value("v", 3.5);
+        finish();
+        finish();
+        let snap = snapshot();
+        reset("off").unwrap();
+        assert_eq!(snap.counters.get("n"), Some(&7));
+        assert_eq!(snap.histograms.get("v").map(|h| h.count), Some(1));
+        let content = std::fs::read_to_string(&path).unwrap();
+        let summary = validate_jsonl(&content).unwrap();
+        assert_eq!(summary.counters, 1);
+        assert_eq!(summary.stats, 1);
+        assert_eq!(content.matches("\"ev\":\"finish\"").count(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn many_spans_on_one_path_stay_one_node() {
+        let _g = guard();
+        reset("summary").unwrap();
+        let before = mark();
+        for _ in 0..100_000 {
+            let _s = span("hot");
+        }
+        let paths = path_totals();
+        assert_eq!(paths.len(), 1);
+        assert_eq!((paths[0].name.as_str(), paths[0].count), ("hot", 100_000));
+        assert_eq!(lock_state().nodes.len(), 1);
+        let since = phase_totals_since(&before);
+        assert_eq!(since.len(), 1);
+        assert_eq!(since[0].count, 100_000);
+        reset("off").unwrap();
+    }
+
+    #[test]
+    fn marks_subtract_per_name_totals() {
+        let _g = guard();
+        reset("summary").unwrap();
+        {
+            let _a = span("a");
+        }
+        let m = mark();
+        {
+            let _a = span("a");
+            let _b = span("b");
+        }
+        let since = phase_totals_since(&m);
+        let counts: BTreeMap<&str, u64> =
+            since.iter().map(|t| (t.name.as_str(), t.count)).collect();
+        assert_eq!(counts, BTreeMap::from([("a", 1), ("b", 1)]));
+        // A mark from before a reset counts nothing against the new run.
+        reset("summary").unwrap();
+        {
+            let _a = span("a");
+        }
+        assert_eq!(phase_totals_since(&m)[0].count, 1);
+        reset("off").unwrap();
+    }
+
+    #[test]
+    fn spans_open_across_a_reset_are_dropped() {
+        let _g = guard();
+        reset("summary").unwrap();
+        let stale = span("stale");
+        reset("summary").unwrap();
+        drop(stale);
+        {
+            let _fresh = span("fresh");
+        }
+        let paths: Vec<String> = path_totals().into_iter().map(|t| t.name).collect();
+        assert_eq!(paths, vec!["fresh".to_string()]);
         reset("off").unwrap();
     }
 }

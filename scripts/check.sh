@@ -180,6 +180,24 @@ for net in 1 2; do
     || { echo "large-bus smoke: no peak reported for net $net" >&2; cat "$big_out" >&2; exit 1; }
 done
 
+echo "==> traced serve stream smoke (40 000 repeated requests, --trace=summary)"
+# The tracer aggregates spans as they close, so a long traced stream must
+# run in time linear in its length and in memory bounded by the number of
+# distinct span paths. 40 000 cached requests take ~1 s with tracing off;
+# a tracer that retains every span, or re-scans them per request, blows
+# through the timeout and the 64 MiB address-space cap.
+serve_in="target/serve_trace_in.jsonl"
+serve_out="target/serve_trace_out.txt"
+awk 'BEGIN { for (i = 0; i < 40000; i++) print "{\"bits\":4,\"kind\":\"wvpec-g:2\",\"t_stop\":5e-11}" }' \
+  > "$serve_in"
+( ulimit -v 65536
+  env VPEC_THREADS=1 timeout 20 ./target/release/vpec serve --trace=summary \
+    < "$serve_in" > "$serve_out" 2> /dev/null )
+[ "$(grep -c '"status":"ok"' "$serve_out")" -eq 40000 ] \
+  || { echo "traced serve smoke: expected 40000 ok responses" >&2; exit 1; }
+grep -q '^    engine.request ' "$serve_out" \
+  || { echo "traced serve smoke: summary lacks the engine.request span" >&2; exit 1; }
+
 echo "==> trace JSONL smoke run (model --trace=jsonl, schema validation)"
 trace_jsonl="target/trace_smoke.jsonl"
 cargo run --release -q -p vpec-cli --bin vpec -- \

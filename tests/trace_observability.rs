@@ -36,7 +36,7 @@ fn spans_nest_across_pool_workers() {
     trace::reset("summary").unwrap();
 
     let root = trace::span("test.root");
-    let root_id = trace::current_span().expect("root span is active");
+    assert!(trace::current_span().is_some(), "root span is active");
     let pool = Pool::with_threads(4);
     let out = pool.par_map(&[1u64, 2, 3, 4, 5, 6, 7, 8], |_, &x| {
         let _child = trace::span("test.worker");
@@ -45,16 +45,18 @@ fn spans_nest_across_pool_workers() {
     assert_eq!(out, vec![2, 4, 6, 8, 10, 12, 14, 16]);
     drop(root);
 
-    let closed = trace::closed_spans();
-    let workers: Vec<_> = closed.iter().filter(|s| s.name == "test.worker").collect();
-    assert_eq!(workers.len(), 8, "one span per mapped item");
-    for w in &workers {
-        assert_eq!(
-            w.parent,
-            Some(root_id),
-            "worker spans must link to the root span even on scoped pool threads"
-        );
-    }
+    let paths = trace::path_totals();
+    let count = |path: &str| paths.iter().find(|p| p.name == path).map(|p| p.count);
+    assert_eq!(
+        count("test.root/test.worker"),
+        Some(8),
+        "one span per mapped item, each nested under the root even on scoped pool threads"
+    );
+    assert_eq!(
+        count("test.worker"),
+        None,
+        "no worker span escapes to the top level"
+    );
     trace::reset("off").unwrap();
 }
 
@@ -154,16 +156,50 @@ fn off_mode_emits_nothing() {
     let _g = guard();
     trace::reset("off").unwrap();
 
-    let before = trace::closed_span_count();
     let exp = experiment(3);
     let built = exp.build(ModelKind::VpecFull).unwrap();
     let (_, report, _) = built
         .run_transient_with_report(&TransientSpec::new(0.05e-9, 1e-12))
         .unwrap();
 
-    assert_eq!(trace::closed_span_count(), before, "no spans recorded");
+    assert!(trace::path_totals().is_empty(), "span aggregate is empty");
     assert_eq!(trace::counter_value("transient.steps"), 0);
     assert_eq!(trace::instant_count("transient.retry"), 0);
     assert!(report.phases.is_empty(), "no phase breakdown when off");
     assert!(trace::summary_tree().is_empty());
+}
+
+#[test]
+fn prefactored_reports_cover_only_their_own_run() {
+    let _g = guard();
+    trace::reset("summary").unwrap();
+    let exp = experiment(3);
+    let built = exp.build(ModelKind::WVpecGeometric { b: 2 }).unwrap();
+    let spec = TransientSpec::new(0.05e-9, 1e-12);
+    let factor = built.prepare_transient(&spec).unwrap();
+    let transient_count = |report: &SolveReport| {
+        report
+            .phases
+            .iter()
+            .find(|p| p.name == "transient")
+            .map(|p| p.count)
+    };
+    let (_, first, _) = built
+        .run_transient_with_report_prefactored(&spec, &factor)
+        .unwrap();
+    let (_, second, _) = built
+        .run_transient_with_report_prefactored(&spec, &factor)
+        .unwrap();
+    assert_eq!(transient_count(&first), Some(1));
+    assert_eq!(
+        transient_count(&second),
+        Some(1),
+        "a cached model's report must not count earlier solves: {:?}",
+        second.phases
+    );
+    assert!(
+        !second.phases.iter().any(|p| p.name == "build"),
+        "the build happened before this run"
+    );
+    trace::reset("off").unwrap();
 }
