@@ -26,7 +26,8 @@ pub struct Config {
     /// Crates whose `src/` trees must be panic-free (`panic-freedom`).
     pub panic_crates: Vec<String>,
     /// Root-relative modules allowed to contain `unsafe`, with their
-    /// pinned `#[allow(unsafe_code)]` counts (`unsafe-audit`).
+    /// pinned `#[allow(unsafe_code)]` counts (`unsafe-audit`). Empty for
+    /// this workspace, so any `unsafe` anywhere is a finding.
     pub unsafe_allowlist: Vec<(String, usize)>,
     /// Root-relative modules where every non-test `fn` must declare a
     /// `Numerical class:` marker (`numerical-class`).
@@ -41,15 +42,15 @@ pub struct Config {
 
 impl Config {
     /// The policy for this workspace. Changes here are policy changes:
-    /// keep the unsafe allowlist in lockstep with the crate docs in
-    /// `crates/numerics/src/lib.rs`, and the registry list in lockstep
-    /// with where `USAGE` lives.
+    /// the workspace is safe Rust throughout (every library crate carries
+    /// `#![forbid(unsafe_code)]`), so the unsafe allowlist stays empty,
+    /// and the registry list moves in lockstep with where `USAGE` lives.
     pub fn for_workspace(root: PathBuf) -> Config {
         let owned = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
         Config {
             root,
             panic_crates: owned(&["numerics", "core", "circuit", "extract", "engine", "metrics"]),
-            unsafe_allowlist: vec![("crates/numerics/src/pool.rs".to_string(), 3)],
+            unsafe_allowlist: Vec::new(),
             kernel_modules: owned(&["crates/numerics/src/kernel.rs"]),
             registry_files: owned(&["crates/cli/src/lib.rs"]),
             exclude_prefixes: owned(&["crates/analyze/fixtures", "target"]),
@@ -259,12 +260,9 @@ mod tests {
     #[test]
     fn workspace_config_is_internally_consistent() {
         let cfg = Config::for_workspace(PathBuf::from("."));
-        // The unsafe allowlist lives inside a panic-free crate: both
-        // policies must name the same tree or the docs lie.
-        for (path, pinned) in &cfg.unsafe_allowlist {
-            assert!(path.starts_with("crates/"), "{path}");
-            assert!(*pinned > 0);
-        }
+        // The workspace is safe Rust: no module may hold `unsafe`, so the
+        // lint flags every occurrence.
+        assert!(cfg.unsafe_allowlist.is_empty(), "{:?}", cfg.unsafe_allowlist);
         // Fixture corpora must be excluded, or the engine lints its own
         // seeded positives.
         assert!(cfg

@@ -13,8 +13,8 @@
 //! * [`panic-freedom`](lints::panic_freedom) — `unwrap`/`expect`/panicky
 //!   macros in non-test library code of the engine-boundary crates.
 //! * [`unsafe-audit`](lints::unsafe_audit) — `unsafe` only in allowlisted
-//!   modules, every block `// SAFETY:`-justified, allow-attribute counts
-//!   pinned exactly.
+//!   modules (none in this workspace), every block `// SAFETY:`-justified,
+//!   allow-attribute counts pinned exactly.
 //! * [`numerical-class`](lints::numerical_class) — kernel functions
 //!   declare `Numerical class: bit-identical` or `audited-close`;
 //!   bit-identical code must not call audited-close helpers.

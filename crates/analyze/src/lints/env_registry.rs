@@ -111,9 +111,9 @@ mod tests {
     fn extracts_registry_words() {
         let reg = registry_from(
             "--threads N (default: VPEC_THREADS env). Tracing: VPEC_TRACE.\n\
-             Audits via VPEC_AUDIT; profiles via VPEC_TUNE=FILE. VPEC_* reads are linted.",
+             Audits via VPEC_AUDIT; the gate via VPEC_LINT=strict. VPEC_* reads are linted.",
         );
-        for v in ["VPEC_THREADS", "VPEC_TRACE", "VPEC_AUDIT", "VPEC_TUNE"] {
+        for v in ["VPEC_THREADS", "VPEC_TRACE", "VPEC_AUDIT", "VPEC_LINT"] {
             assert!(reg.contains(v), "{v} missing from {reg:?}");
         }
         // The bare `VPEC_*` wildcard is not a variable.

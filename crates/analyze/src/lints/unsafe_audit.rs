@@ -1,9 +1,11 @@
 //! `unsafe-audit`: every `unsafe` is allowlisted, justified and counted.
 //!
-//! The workspace denies `unsafe_code` everywhere except the striped
-//! elimination engine (`crates/numerics/src/pool.rs`), whose
-//! row-disjoint `SharedRows` view needs it. This lint makes that policy
-//! checkable:
+//! The workspace is safe Rust: every library crate forbids `unsafe_code`,
+//! and [`crate::Config::for_workspace`] allowlists no module, so on the
+//! real tree this lint flags every `unsafe` token and every
+//! `#[allow(unsafe_code)]` attribute. The allowlist machinery stays for
+//! a module that one day proves it needs `unsafe` (the fixture corpus
+//! exercises it):
 //!
 //! * any `unsafe` token or `#[allow(unsafe_code)]` attribute outside the
 //!   allowlisted modules is a finding;
@@ -68,9 +70,9 @@ pub fn run(ctx: &FileCtx<'_>, allowlist: &[(String, usize)]) -> Vec<Finding> {
                                     Severity::Deny,
                                     t,
                                     "`#[allow(unsafe_code)]` outside the allowlisted modules \
-                                     — keep unsafe in `crates/numerics/src/pool.rs` (or extend \
-                                     the allowlist in `vpec_analyze::Config` with a pinned \
-                                     count and a design-doc entry)"
+                                     — the workspace is safe Rust; extending the allowlist in \
+                                     `vpec_analyze::Config` needs a pinned count and a \
+                                     design-doc entry"
                                         .to_string(),
                                 ));
                             }
@@ -89,7 +91,7 @@ pub fn run(ctx: &FileCtx<'_>, allowlist: &[(String, usize)]) -> Vec<Finding> {
                 Severity::Deny,
                 t,
                 "`unsafe` outside the allowlisted modules — the workspace promise is \
-                 safe code everywhere but the striped elimination engine"
+                 safe code everywhere"
                     .to_string(),
             ));
             continue;
@@ -121,8 +123,8 @@ pub fn run(ctx: &FileCtx<'_>, allowlist: &[(String, usize)]) -> Vec<Finding> {
                 format!(
                     "{} has {allow_count} `#[allow(unsafe_code)]` attributes but the \
                      allowlist pins exactly {expected} — update the pin in \
-                     `vpec_analyze::Config::for_workspace` AND the crate-doc comment in \
-                     `crates/numerics/src/lib.rs` so prose and policy move together",
+                     `vpec_analyze::Config::for_workspace` AND the unsafe-policy comment \
+                     at the crate's `lib.rs` so prose and policy move together",
                     ctx.file
                 ),
             ));
@@ -221,7 +223,7 @@ mod tests {
 
     #[test]
     fn mentions_in_comments_and_strings_are_clean() {
-        let src = "// the pool needs unsafe for SharedRows\nlet s = \"unsafe\";\n";
+        let src = "// the pool needs no unsafe for disjoint rows\nlet s = \"unsafe\";\n";
         assert!(run_on("crates/core/src/x.rs", src, &pool_allow(1)).is_empty());
     }
 }

@@ -16,7 +16,7 @@
 //! expected to be 0.
 //!
 //! Numbers are honest: on a single-core machine the "parallel" column
-//! still runs the striped/chunked code paths, it just cannot be faster.
+//! still runs the blocked/chunked code paths, it just cannot be faster.
 //! `available_parallelism` is recorded, and every phase carries
 //! `hw_limited: true` when the machine granted fewer workers than the
 //! bench requested — downstream gates skip speedup assertions for those

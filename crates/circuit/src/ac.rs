@@ -11,7 +11,13 @@ use crate::netlist::Circuit;
 use crate::result::AcResult;
 use crate::solver::{Factored, SolverKind};
 use vpec_numerics::cancel::CancelToken;
-use vpec_numerics::{pool, tune, Complex64, Pool};
+use vpec_numerics::{pool, Complex64, Pool};
+
+/// Minimum AC sweep points per worker before the per-frequency solves go
+/// parallel: short sweeps stay serial, where fan-out overhead used to cost
+/// more than it bought (`BENCH_perf.json` "small" measured a 0.978×
+/// "speedup").
+const AC_MIN_POINTS_PER_THREAD: usize = 8;
 
 /// AC sweep specification.
 #[derive(Debug, Clone)]
@@ -115,13 +121,8 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
     // sweep maps over frequencies in parallel. Results come back in sweep
     // order; on failure the error reported is the one at the lowest
     // failing frequency, matching the serial loop's behaviour. The
-    // points-per-worker crossover comes from the tune profile: short
-    // sweeps stay serial, where fan-out overhead used to cost more than
-    // it bought (BENCH_perf.json "small" measured a 0.978× "speedup").
-    let nt = pool::threads_for(
-        spec.frequencies.len(),
-        tune::current().ac_min_points_per_thread,
-    );
+    // [`AC_MIN_POINTS_PER_THREAD`] keeps short sweeps serial.
+    let nt = pool::threads_for(spec.frequencies.len(), AC_MIN_POINTS_PER_THREAD);
     let _sp = vpec_trace::span!(
         "ac.sweep",
         "points" => spec.frequencies.len(),

@@ -467,27 +467,6 @@ pub fn stats(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// `vpec tune`: measure this machine's kernel-dispatch crossovers and
-/// print (or write with `-o`) a tuning profile for `VPEC_TUNE`.
-///
-/// # Errors
-///
-/// Runtime error when the output file cannot be written.
-pub fn tune(args: &ParsedArgs) -> Result<String, CliError> {
-    let profile = vpec_numerics::TuneProfile::measure(args.quick);
-    let text = profile.to_text();
-    match &args.output {
-        Some(path) => {
-            std::fs::write(path, &text)
-                .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-            Ok(format!(
-                "tuning profile written to {path}\napply it with: VPEC_TUNE={path} vpec ...\n"
-            ))
-        }
-        None => Ok(text),
-    }
-}
-
 /// `vpec lint`: the workspace static-analysis gate (`vpec-analyze`).
 ///
 /// Scans the tree under `--root` (default `.`), applies inline waivers
@@ -599,7 +578,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         crate::Command::Export => export(args),
         crate::Command::Batch => batch(args),
         crate::Command::Serve => serve(args),
-        crate::Command::Tune => tune(args),
         crate::Command::Lint => lint(args),
         crate::Command::Stats => stats(args),
         crate::Command::Help => Ok(crate::USAGE.to_string()),
@@ -636,20 +614,11 @@ mod tests {
         run(&parse_args(&argv(line))?)
     }
 
-    #[test]
-    fn tune_prints_and_writes_a_parseable_profile() {
-        let out = run_line("tune --quick").unwrap();
-        assert!(out.contains("par_min_cols"), "{out}");
-        assert!(out.contains("panel_width"), "{out}");
-        let profile = vpec_numerics::TuneProfile::parse(&out).unwrap();
-        assert!(profile.panel_width > 0);
-
-        let tmp = std::env::temp_dir().join("vpec_cli_test_profile.tune");
-        let out = run_line(&format!("tune --quick -o {}", tmp.display())).unwrap();
-        assert!(out.contains("VPEC_TUNE"), "{out}");
-        let text = std::fs::read_to_string(&tmp).unwrap();
-        assert!(vpec_numerics::TuneProfile::parse(&text).is_ok());
-        let _ = std::fs::remove_file(&tmp);
+    /// Serializes the tests that reset the process-wide trace sink: a
+    /// reset in one would cut the other's stream short.
+    fn trace_sink_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -764,6 +733,7 @@ mod tests {
 
     #[test]
     fn trace_flag_drives_sinks() {
+        let _sink = trace_sink_lock();
         // Summary sink: the report gains a span tree with pipeline phases.
         let out = run_line("simulate --bits 3 --kind vpec-full --tstop 0.05n --probe 0 --trace")
             .unwrap();
@@ -805,6 +775,7 @@ mod tests {
         // The spec is syntactically fine, so it survives parsing; opening
         // the sink fails at run time and must exit 1 (runtime), not 2
         // (usage) — and must not panic.
+        let _sink = trace_sink_lock();
         let args =
             parse_args(&argv("extract --bits 3 --trace=jsonl:/nonexistent-dir/t.jsonl")).unwrap();
         let err = run(&args).unwrap_err();
