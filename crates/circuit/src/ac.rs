@@ -9,7 +9,7 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::Circuit;
 use crate::result::AcResult;
-use crate::solver::{Factored, SolverKind};
+use crate::solver::{FactorOptions, Factored, FillPlan, SolverKind};
 use vpec_numerics::cancel::CancelToken;
 use vpec_numerics::{pool, Complex64, Pool};
 
@@ -129,18 +129,24 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
         "mode" => if nt > 1 { "parallel" } else { "serial" },
         "workers" => nt,
     );
+    let assemble_at = |f: f64| {
+        let omega = 2.0 * std::f64::consts::PI * f;
+        assemble::<Complex64>(
+            ckt,
+            &layout,
+            |c| Complex64::new(0.0, omega * c),
+            |l| Complex64::new(0.0, omega * l),
+        )
+    };
+    // Every point has the same sparsity pattern, so the fill ordering is
+    // chosen once for the sweep.
+    let plan = FillPlan::for_kind(&assemble_at(spec.frequencies[0]), spec.solver);
     let solved = Pool::with_threads(nt).par_map(&spec.frequencies, |_, &f| {
         if spec.cancel.is_cancelled() {
             return Err(CircuitError::Cancelled { analysis: "ac" });
         }
         let _ps = vpec_trace::span("ac.point");
-        let omega = 2.0 * std::f64::consts::PI * f;
-        let a = assemble::<Complex64>(
-            ckt,
-            &layout,
-            |c| Complex64::new(0.0, omega * c),
-            |l| Complex64::new(0.0, omega * l),
-        );
+        let a = assemble_at(f);
         let mut rhs = vec![Complex64::ZERO; layout.dim];
         for (idx, e) in ckt.elements().iter().enumerate() {
             match e {
@@ -151,12 +157,14 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
                 _ => {}
             }
         }
-        let factored = Factored::factor(&a, spec.solver).map_err(|e| match e {
-            CircuitError::SingularSystem { .. } => {
-                CircuitError::SingularSystem { analysis: "ac" }
-            }
-            other => other,
-        })?;
+        let (factored, _) =
+            Factored::factor_planned(&a, FactorOptions::new(spec.solver), plan.as_ref())
+                .map_err(|e| match e {
+                    CircuitError::SingularSystem { .. } => {
+                        CircuitError::SingularSystem { analysis: "ac" }
+                    }
+                    other => other,
+                })?;
         factored.solve(&rhs)
     });
     let mut data = Vec::with_capacity(spec.frequencies.len());
@@ -287,6 +295,49 @@ mod tests {
             AcSpec::log_sweep(1e9, 1e6, 10),
             Err(CircuitError::InvalidSpec { .. })
         ));
+    }
+
+    #[test]
+    fn sweep_reuses_one_fill_ordering_bit_for_bit() {
+        // An RLC ladder past the dense-LU size: the sweep orders once,
+        // and every point matches a point factored (and ordered) alone.
+        let mut c = Circuit::new();
+        let mut prev = c.node("in");
+        c.add_vsource_ac("V1", prev, Circuit::GROUND, Waveform::dc(0.0), 1.0, 0.0)
+            .unwrap();
+        for k in 0..40 {
+            let mid = c.node(&format!("m{k}"));
+            let next = c.node(&format!("n{k}"));
+            c.add_resistor(&format!("R{k}"), prev, mid, 2.0).unwrap();
+            c.add_inductor(&format!("L{k}"), mid, next, 1e-10).unwrap();
+            c.add_capacitor(&format!("C{k}"), next, Circuit::GROUND, 1e-14)
+                .unwrap();
+            prev = next;
+        }
+        let freqs = vec![1e8, 1e9, 1e10];
+        let res = run_ac(&c, &AcSpec::points(freqs.clone())).unwrap();
+        let layout = MnaLayout::new(&c);
+        assert!(layout.dim > 64, "dim {}", layout.dim);
+        for (k, &f) in freqs.iter().enumerate() {
+            let omega = 2.0 * std::f64::consts::PI * f;
+            let a = assemble::<Complex64>(
+                &c,
+                &layout,
+                |cap| Complex64::new(0.0, omega * cap),
+                |l| Complex64::new(0.0, omega * l),
+            );
+            let mut rhs = vec![Complex64::ZERO; layout.dim];
+            for (idx, e) in c.elements().iter().enumerate() {
+                if let Element::VSource { ac: Some((m, p)), .. } = e {
+                    add_source_rhs(&mut rhs, &layout, idx, e, Complex64::from_polar(*m, *p));
+                }
+            }
+            let alone = Factored::factor(&a, SolverKind::Auto)
+                .unwrap()
+                .solve(&rhs)
+                .unwrap();
+            assert_eq!(res.data[k], alone, "point {k}");
+        }
     }
 
     #[test]

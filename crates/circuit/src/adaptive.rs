@@ -22,7 +22,7 @@ use crate::error::CircuitError;
 use crate::mna::{add_source_rhs, assemble, MnaLayout};
 use crate::netlist::Circuit;
 use crate::result::{ResultMapping, TransientResult};
-use crate::solver::{Factored, SolverKind};
+use crate::solver::{FactorOptions, Factored, FillPlan, SolverKind};
 use std::collections::HashMap;
 
 /// Specification for the adaptive transient engine.
@@ -112,8 +112,10 @@ pub fn run_transient_adaptive(
     // Element states (trapezoidal companions).
     let mut companions = Companions::new(ckt, &layout, &x);
 
-    // Factor cache keyed by the dt ladder (exact bits of dt).
+    // Factor cache keyed by the dt ladder (exact bits of dt). Every dt
+    // gives the same sparsity pattern, so the fill ordering is chosen once.
     let mut cache: HashMap<u64, Factored<f64>> = HashMap::new();
+    let mut plan: Option<Option<FillPlan>> = None;
     let mut stats = AdaptiveStats {
         accepted: 0,
         rejected: 0,
@@ -138,12 +140,15 @@ pub fn run_transient_adaptive(
             std::collections::hash_map::Entry::Vacant(v) => {
                 let coef = 2.0 / dt_eff;
                 let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l);
-                let f = Factored::factor(&a, spec.solver).map_err(|e| match e {
-                    CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
-                        analysis: "transient",
-                    },
-                    other => other,
-                })?;
+                let plan = plan.get_or_insert_with(|| FillPlan::for_kind(&a, spec.solver));
+                let (f, _) =
+                    Factored::factor_planned(&a, FactorOptions::new(spec.solver), plan.as_ref())
+                        .map_err(|e| match e {
+                            CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
+                                analysis: "transient",
+                            },
+                            other => other,
+                        })?;
                 stats.factorizations += 1;
                 v.insert(f)
             }

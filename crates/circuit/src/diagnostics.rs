@@ -14,7 +14,8 @@
 /// A factorization backend attempted by the fallback chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorStrategy {
-    /// Sparse Gilbert–Peierls LU with RCM ordering.
+    /// Sparse Gilbert–Peierls LU under a fill-reducing ordering (RCM or
+    /// AMD, whichever predicts less fill for the matrix at hand).
     SparseLu,
     /// Sparse LU without the fill-reducing ordering.
     SparseLuNoOrdering,
@@ -41,6 +42,28 @@ impl FactorStrategy {
     }
 }
 
+/// The symmetric fill ordering a sparse factor was computed under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FillOrdering {
+    /// Reverse Cuthill–McKee (bandwidth-reducing).
+    Rcm,
+    /// Approximate minimum degree (fill-reducing).
+    Amd,
+    /// The matrix's own numbering.
+    Natural,
+}
+
+impl FillOrdering {
+    /// Short label for reports: `"rcm"`, `"amd"` or `"none"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            FillOrdering::Rcm => "rcm",
+            FillOrdering::Amd => "amd",
+            FillOrdering::Natural => "none",
+        }
+    }
+}
+
 /// One entry of the fallback chain: what was tried and whether it stuck.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FactorAttempt {
@@ -57,7 +80,7 @@ pub struct FactorDiagnostics {
     /// produced the factor (when any succeeded).
     pub attempts: Vec<FactorAttempt>,
     /// Cheap condition estimate of the accepted factor
-    /// (`max|uᵢᵢ| / min|uᵢᵢ|` over the U diagonal), when available.
+    /// (`max|uᵢᵢ| / min|uᵢᵢ|` over the U diagonal).
     pub condition_estimate: Option<f64>,
     /// The Tikhonov shift `ε` that was finally applied, if the
     /// regularized stage was reached.
@@ -65,9 +88,15 @@ pub struct FactorDiagnostics {
     /// Iteration count of the retired Krylov stage. Always `None`: every
     /// solve is direct. Kept so that existing readers keep compiling.
     pub iterations: Option<usize>,
-    /// Bytes the accepted factor stores: `dim²` values for dense LU, one
-    /// value plus one index per stored L/U entry for sparse LU.
+    /// Bytes the accepted factor stores: `dim²` values for dense LU; for
+    /// sparse LU the arrays it holds — values of L, U and U's diagonal,
+    /// `u32` row indices and gather/scatter maps, `usize` column pointers.
     pub factor_bytes: Option<u64>,
+    /// Fill ordering of the accepted factor (`None` for dense LU).
+    pub ordering: Option<FillOrdering>,
+    /// Stored nonzeros of the accepted factor: `dim²` for dense LU, L and
+    /// U with both diagonals for sparse LU.
+    pub factor_nnz: Option<u64>,
 }
 
 impl FactorDiagnostics {

@@ -83,7 +83,7 @@ mod waveform;
 
 pub use adaptive::{AdaptiveSpec, AdaptiveStats};
 pub use diagnostics::{
-    FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, SolveAudit,
+    FactorAttempt, FactorDiagnostics, FactorStrategy, FaultInjection, FillOrdering, SolveAudit,
     TransientDiagnostics,
 };
 pub use elements::{Element, ElementId};

@@ -1,23 +1,27 @@
 //! Linear-solver selection and the factorization **fallback chain**:
-//! dense LU for small/dense MNA systems, sparse Gilbert–Peierls LU
+//! dense LU for small or dense MNA systems, sparse Gilbert–Peierls LU
 //! otherwise — and when the chosen backend fails, a bounded chain of
 //! recovery stages (sparse LU → dense LU with partial pivoting →
 //! optional Tikhonov-regularized dense LU with escalating `ε`).
 //!
-//! The backend split mirrors the behaviour the paper attributes to
-//! SPICE: "its internal sparse solver is more efficient for a less dense
-//! matrix" — sparsified VPEC models get the sparse path and profit,
-//! dense PEEC stamps fall back to dense elimination. Every solve is
-//! direct: on the benched MNA systems (up to dim 18434) sparse LU beats
+//! The sparse path mirrors the mechanism the paper credits for VPEC's
+//! simulation speed-up: "its internal sparse solver is more efficient for
+//! a less dense matrix". Before it factors, it orders the unknowns for
+//! fill. Two orderings compete on every matrix — reverse Cuthill–McKee,
+//! which suits near-banded systems such as windowed VPEC, and approximate
+//! minimum degree, which suits the fully coupled ones (full VPEC, PEEC) —
+//! and the one whose symbolic Cholesky factor of `A + Aᵀ` has fewer
+//! nonzeros wins. The choice follows the matrix alone; no option selects
+//! it. Every solve is direct: on the benched MNA systems sparse LU beats
 //! preconditioned Krylov iteration by orders of magnitude in time and
 //! gives the exact answer. The recovery chain is this workspace's
 //! production hardening: a near-singular MNA system degrades through the
 //! chain and is reported in [`FactorDiagnostics`] instead of panicking or
 //! silently emitting garbage.
 
-use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy};
+use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy, FillOrdering};
 use crate::error::CircuitError;
-use vpec_numerics::ordering::{permute_symmetric, rcm_ordering};
+use vpec_numerics::ordering::SymmetricPattern;
 use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
 
 /// Which factorization backend to use.
@@ -28,7 +32,8 @@ pub enum SolverKind {
     Auto,
     /// Force dense LU.
     Dense,
-    /// Force sparse LU (with RCM ordering).
+    /// Force sparse LU (under the RCM or AMD ordering, whichever
+    /// predicts less fill).
     Sparse,
     /// Sparse LU **without** the fill-reducing ordering — exists for the
     /// ablation benches; expect catastrophic fill on netlist-ordered MNA
@@ -90,41 +95,102 @@ const REGULARIZATION_BASE: f64 = 1e-10;
 #[derive(Debug)]
 pub(crate) enum Factored<T: Scalar> {
     Dense(LuFactor<T>),
-    /// Sparse LU of the RCM-permuted system: `perm[new] = old`.
+    /// Sparse LU of the symmetrically reordered system; the ordering is
+    /// folded into the factor's own gather/scatter maps.
     Sparse {
         lu: SparseLu<T>,
-        perm: Vec<usize>,
+        ordering: FillOrdering,
     },
+}
+
+/// The fill ordering chosen for one sparsity pattern: the winner and its
+/// permutation (`perm[new] = old`). Matrices that share the pattern — the
+/// frequency points of an AC sweep — reuse it instead of ordering again.
+#[derive(Debug, Clone)]
+pub(crate) struct FillPlan {
+    ordering: FillOrdering,
+    perm: Vec<usize>,
+}
+
+impl FillPlan {
+    /// Orders the unknowns of `coo` (see [`fill_ordering`]) when `kind`
+    /// can factor under a fill ordering; `None` for the backends that
+    /// never use one.
+    pub fn for_kind<T: Scalar>(coo: &CooMatrix<T>, kind: SolverKind) -> Option<Self> {
+        match kind {
+            SolverKind::Auto | SolverKind::Sparse => Some(fill_ordering(&coo.to_csr())),
+            SolverKind::Dense | SolverKind::SparseNoOrdering => None,
+        }
+    }
+}
+
+/// Orders the unknowns of `csr` for fill: RCM and AMD on the symmetrised
+/// pattern, keeping the one whose predicted Cholesky fill is smaller (RCM
+/// on a tie).
+fn fill_ordering<T: Scalar>(csr: &CsrMatrix<T>) -> FillPlan {
+    let _sp = vpec_trace::span("factor.order");
+    let pattern = SymmetricPattern::new(csr);
+    let rcm = pattern.rcm();
+    let amd = pattern.amd();
+    let fill = |perm: &[usize]| pattern.cholesky_nnz(perm).unwrap_or(u64::MAX);
+    let (fill_rcm, fill_amd) = (fill(&rcm), fill(&amd));
+    if vpec_trace::enabled() {
+        vpec_trace::counter_add("factor.predicted_fill.rcm", fill_rcm);
+        vpec_trace::counter_add("factor.predicted_fill.amd", fill_amd);
+    }
+    if fill_amd < fill_rcm {
+        FillPlan {
+            ordering: FillOrdering::Amd,
+            perm: amd,
+        }
+    } else {
+        FillPlan {
+            ordering: FillOrdering::Rcm,
+            perm: rcm,
+        }
+    }
 }
 
 impl<T: Scalar> Factored<T> {
     /// Factors the assembled system with the requested backend. The sparse
-    /// path applies a reverse Cuthill–McKee ordering first — netlist-order
-    /// MNA unknowns factor with catastrophic fill otherwise. On failure
-    /// the bounded fallback chain engages; see [`Factored::factor_with`].
+    /// path orders the unknowns for fill first (RCM or AMD, by predicted
+    /// fill) — netlist-order MNA unknowns factor with catastrophic fill
+    /// otherwise. On failure the bounded fallback chain engages; see
+    /// [`Factored::factor_with`].
     pub fn factor(coo: &CooMatrix<T>, kind: SolverKind) -> Result<Self, CircuitError> {
-        Self::factor_with(coo, FactorOptions::new(kind)).map(|(f, _)| f)
+        Self::factor_planned(coo, FactorOptions::new(kind), None).map(|(f, _)| f)
     }
 
-    /// Factors with the full fallback chain and returns what happened.
+    /// Factors with the full fallback chain and returns what happened;
+    /// see [`Factored::factor_planned`].
+    pub fn factor_with(
+        coo: &CooMatrix<T>,
+        opts: FactorOptions,
+    ) -> Result<(Self, FactorDiagnostics), CircuitError> {
+        Self::factor_planned(coo, opts, None)
+    }
+
+    /// Factors with the full fallback chain and returns what happened. A
+    /// sparse primary orders by `plan` when it is given and fits the
+    /// matrix, and orders afresh otherwise.
     ///
     /// Stages, in order (each bounded, no retry loops besides the fixed
     /// `ε` escalation):
     ///
     /// 1. the primary backend chosen by `opts.kind` (dense or sparse);
-    /// 2. dense LU with partial pivoting, when the primary was sparse —
-    ///    partial pivoting handles zero diagonals the no-pivot sparse
-    ///    kernel cannot;
+    /// 2. dense LU with partial pivoting, when the primary was sparse — an
+    ///    independent backend for a sparse factorization that failed;
     /// 3. if `opts.regularize`: dense LU of `A + ε·I` with `ε` escalating
     ///    over [`REGULARIZATION_STEPS`] decades-of-100 from
     ///    `max|Aᵢⱼ|·1e-10`.
     ///
     /// The returned [`FactorDiagnostics`] records every attempt, the
-    /// condition estimate and storage of the accepted factor and the
-    /// final `ε`.
-    pub fn factor_with(
+    /// condition estimate, fill ordering, nonzeros and storage of the
+    /// accepted factor and the final `ε`.
+    pub fn factor_planned(
         coo: &CooMatrix<T>,
         opts: FactorOptions,
+        plan: Option<&FillPlan>,
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
         let csr = coo.to_csr();
         let dim = csr.rows();
@@ -154,7 +220,7 @@ impl<T: Scalar> Factored<T> {
             });
             None
         } else {
-            let (outcome, err) = match Self::try_primary(&csr, primary_strategy) {
+            let (outcome, err) = match Self::try_primary(&csr, primary_strategy, plan) {
                 Ok(f) => (Some(f), None),
                 Err(e) => (None, Some(e)),
             };
@@ -240,8 +306,13 @@ impl<T: Scalar> Factored<T> {
         }
         match factor {
             Some(f) => {
-                diag.condition_estimate = f.condition_estimate();
+                diag.condition_estimate = Some(f.condition_estimate());
                 diag.factor_bytes = Some(f.storage_bytes());
+                diag.factor_nnz = Some(f.factor_nnz());
+                diag.ordering = f.ordering();
+                if let Some(o) = diag.ordering {
+                    sp.set_attr("ordering", o.label());
+                }
                 Ok((f, diag))
             }
             None => Err(last_err.unwrap_or(CircuitError::SingularSystem { analysis: "solve" })),
@@ -253,43 +324,63 @@ impl<T: Scalar> Factored<T> {
     fn try_primary(
         csr: &CsrMatrix<T>,
         strategy: FactorStrategy,
+        plan: Option<&FillPlan>,
     ) -> Result<Self, CircuitError> {
-        let dim = csr.rows();
         match strategy {
             FactorStrategy::SparseLuNoOrdering => Ok(Factored::Sparse {
                 lu: SparseLu::new(csr)?,
-                perm: (0..dim).collect(),
+                ordering: FillOrdering::Natural,
             }),
             FactorStrategy::SparseLu => {
-                let perm = rcm_ordering(csr);
-                let permuted = permute_symmetric(csr, &perm);
+                let fresh;
+                let plan = match plan {
+                    Some(p) if p.perm.len() == csr.rows() => p,
+                    _ => {
+                        fresh = fill_ordering(csr);
+                        &fresh
+                    }
+                };
                 Ok(Factored::Sparse {
-                    lu: SparseLu::new(&permuted)?,
-                    perm,
+                    lu: SparseLu::with_ordering(csr, &plan.perm)?,
+                    ordering: plan.ordering,
                 })
             }
             _ => Ok(Factored::Dense(LuFactor::new(&csr.to_dense())?)),
         }
     }
 
-    /// Cheap condition estimate of the accepted factor (dense backend
-    /// only — the sparse kernel does not expose its U diagonal).
-    fn condition_estimate(&self) -> Option<f64> {
+    /// Cheap condition estimate of the accepted factor: the spread of its
+    /// U diagonal, `max|uᵢᵢ| / min|uᵢᵢ|`.
+    fn condition_estimate(&self) -> f64 {
         match self {
-            Factored::Dense(lu) => Some(lu.diag_condition_estimate()),
-            Factored::Sparse { .. } => None,
+            Factored::Dense(lu) => lu.diag_condition_estimate(),
+            Factored::Sparse { lu, .. } => lu.diag_condition_estimate(),
         }
     }
 
-    /// Bytes the factor stores: `dim²` values for dense LU, and one value
-    /// plus one index per stored L/U entry for sparse LU.
+    /// Bytes the factor stores: `dim²` values for dense LU; the value,
+    /// index and pointer arrays for sparse LU.
     fn storage_bytes(&self) -> u64 {
-        let value = std::mem::size_of::<T>() as u64;
         match self {
-            Factored::Dense(lu) => value * (lu.dim() as u64).pow(2),
-            Factored::Sparse { lu, .. } => {
-                (value + std::mem::size_of::<usize>() as u64) * lu.factor_nnz() as u64
-            }
+            Factored::Dense(lu) => std::mem::size_of::<T>() as u64 * (lu.dim() as u64).pow(2),
+            Factored::Sparse { lu, .. } => lu.storage_bytes(),
+        }
+    }
+
+    /// Stored nonzeros: `dim²` for dense LU, L and U (both diagonals
+    /// included) for sparse LU.
+    fn factor_nnz(&self) -> u64 {
+        match self {
+            Factored::Dense(lu) => (lu.dim() as u64).pow(2),
+            Factored::Sparse { lu, .. } => lu.factor_nnz() as u64,
+        }
+    }
+
+    /// Fill ordering of a sparse factor.
+    fn ordering(&self) -> Option<FillOrdering> {
+        match self {
+            Factored::Dense(_) => None,
+            Factored::Sparse { ordering, .. } => Some(*ordering),
         }
     }
 
@@ -302,9 +393,9 @@ impl<T: Scalar> Factored<T> {
     }
 
     /// Solves `A·x = b` into caller-owned buffers. `x` receives the
-    /// solution; `scratch` is working storage for the sparse path's
-    /// permutations. Both reuse their capacity across calls — the
-    /// transient loop calls this once per step, allocation-free once warm.
+    /// solution; `scratch` is the sparse path's substitution vector. Both
+    /// reuse their capacity across calls — the transient loop calls this
+    /// once per step, allocation-free once warm.
     pub fn solve_into(
         &self,
         b: &[T],
@@ -313,20 +404,7 @@ impl<T: Scalar> Factored<T> {
     ) -> Result<(), CircuitError> {
         match self {
             Factored::Dense(lu) => Ok(lu.solve_into(b, x)?),
-            Factored::Sparse { lu, perm } => {
-                // scratch ← RCM-permuted b; x ← permuted solution.
-                scratch.clear();
-                scratch.extend(perm.iter().map(|&old| b[old]));
-                lu.solve_into(scratch, x)?;
-                // Un-permute through scratch, then swap back into x.
-                scratch.clear();
-                scratch.resize(x.len(), T::zero());
-                for (new, &old) in perm.iter().enumerate() {
-                    scratch[old] = x[new];
-                }
-                std::mem::swap(x, scratch);
-                Ok(())
-            }
+            Factored::Sparse { lu, .. } => Ok(lu.solve_into(b, x, scratch)?),
         }
     }
 
@@ -373,6 +451,27 @@ mod tests {
     fn auto_uses_sparse_for_large_sparse() {
         let f = Factored::factor(&diag_coo(500), SolverKind::Auto).unwrap();
         assert!(f.is_sparse());
+    }
+
+    #[test]
+    fn auto_uses_dense_for_dense_midsize() {
+        // Past dim 64, a matrix denser than 15 % still goes dense: sparse
+        // LU is several times slower on such patterns.
+        let n = 150;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                if i == j {
+                    coo.push(i, j, 4.0 * n as f64).unwrap();
+                } else if (i * 7 + j * 3) % 5 == 0 {
+                    coo.push(i, j, 1.0).unwrap();
+                }
+            }
+        }
+        assert!(coo.to_csr().density() > 0.15);
+        let (f, diag) = Factored::factor_with(&coo, FactorOptions::new(SolverKind::Auto)).unwrap();
+        assert!(!f.is_sparse());
+        assert_eq!(diag.accepted(), Some(FactorStrategy::DenseLu));
     }
 
     #[test]
@@ -564,16 +663,62 @@ mod tests {
         let (_, dense) =
             Factored::factor_with(&diag_coo(8), FactorOptions::new(SolverKind::Dense)).unwrap();
         assert_eq!(dense.factor_bytes, Some(8 * 8 * 8));
-        let (f, sparse) =
-            Factored::factor_with(&diag_coo(500), FactorOptions::new(SolverKind::Sparse)).unwrap();
-        let nnz = match &f {
-            Factored::Sparse { lu, .. } => lu.factor_nnz() as u64,
-            Factored::Dense(_) => panic!("expected the sparse backend"),
-        };
+        assert_eq!(dense.factor_nnz, Some(64));
+        assert_eq!(dense.ordering, None);
+        assert!(dense.condition_estimate.is_some());
+
+        // Sparse: the flat arrays themselves. Off-diagonal L/U entries and
+        // U's diagonal carry an f64 value; off-diagonal entries and the
+        // gather/scatter maps a u32 index; L and U a usize pointer per
+        // column plus one.
+        let coo = mna_ladder(400, 16);
+        let dim = coo.rows() as u64;
+        let (_, sparse) =
+            Factored::factor_with(&coo, FactorOptions::new(SolverKind::Sparse)).unwrap();
+        let nnz = sparse.factor_nnz.unwrap();
+        let off = nnz - 2 * dim;
+        let usize_bytes = std::mem::size_of::<usize>() as u64;
         assert_eq!(
             sparse.factor_bytes,
-            Some(nnz * (8 + std::mem::size_of::<usize>() as u64))
+            Some(8 * (off + dim) + 4 * (off + 2 * dim) + usize_bytes * 2 * (dim + 1))
         );
+        assert!(sparse.ordering.is_some());
+        let cond = sparse.condition_estimate.unwrap();
+        assert!(cond.is_finite() && cond >= 1.0, "{cond}");
+    }
+
+    #[test]
+    fn ordering_follows_the_matrix() {
+        // A chain: RCM and AMD predict the same fill, and RCM keeps it.
+        let (_, chain) =
+            Factored::factor_with(&mna_ladder(300, 1000), FactorOptions::new(SolverKind::Auto))
+                .unwrap();
+        assert_eq!(chain.ordering, Some(FillOrdering::Rcm));
+        // A 2-D mesh: minimum degree wins.
+        let m = 40;
+        let mut grid = CooMatrix::new(m * m, m * m);
+        for i in 0..m * m {
+            grid.push(i, i, 4.5).unwrap();
+            for j in [i + 1, i + m] {
+                if j < m * m && (j != i + 1 || (i + 1) % m != 0) {
+                    grid.push(i, j, -1.0).unwrap();
+                    grid.push(j, i, -1.0).unwrap();
+                }
+            }
+        }
+        let (f, mesh) = Factored::factor_with(&grid, FactorOptions::new(SolverKind::Auto)).unwrap();
+        assert_eq!(mesh.ordering, Some(FillOrdering::Amd));
+        // Forcing no ordering is reported as such.
+        let (_, none) =
+            Factored::factor_with(&grid, FactorOptions::new(SolverKind::SparseNoOrdering))
+                .unwrap();
+        assert_eq!(none.ordering, Some(FillOrdering::Natural));
+        assert!(mesh.factor_nnz < none.factor_nnz);
+        // And the ordered factor still solves the system.
+        let b: Vec<f64> = (0..m * m).map(|i| (i % 7) as f64).collect();
+        let x = f.solve(&b).unwrap();
+        let r = grid.to_csr().matvec(&x).unwrap();
+        assert!(r.iter().zip(&b).all(|(u, v)| (u - v).abs() < 1e-10));
     }
 
     #[test]

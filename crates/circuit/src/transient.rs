@@ -17,6 +17,12 @@
 //! re-assembled and re-factored, and the step is re-taken from the last
 //! accepted state. The factorization itself runs through the bounded
 //! fallback chain in [`crate::diagnostics`].
+//!
+//! Initial condition: the DC operating point with the sources at `t = 0`.
+//! When no source is nonzero at `t = 0` (the paper's step drive) that
+//! point is `x = 0` exactly and the DC solve is skipped; a circuit whose
+//! DC matrix alone is singular — a node reached only through capacitors —
+//! then starts from the zero state, like SPICE's `UIC`.
 
 use crate::companion::Companions;
 use crate::dc::solve_dc_opts;
@@ -194,6 +200,46 @@ fn source_values_at_zero(ckt: &Circuit) -> Vec<f64> {
         .collect()
 }
 
+/// Initial condition of a transient run: the DC operating point with the
+/// sources at `t = 0`.
+///
+/// When every independent source is zero at `t = 0` — the paper's step
+/// drive — the operating point of these linear circuits is `x = 0`
+/// exactly, and the DC factorization and solve are skipped. A circuit
+/// whose DC matrix is singular while its transient matrix is not (a node
+/// reached only through capacitors) then starts from the zero state, as
+/// SPICE does under `UIC`, instead of failing: with nothing driving it,
+/// zero is a consistent initial charge for every such node. A circuit
+/// with a nonzero source at `t = 0` still needs, and reports the failure
+/// of, the DC solve.
+///
+/// The operating point honors the caller's regularization opt-in (a
+/// DC-floating node can still start a meaningful transient), but never the
+/// fault injection — that targets the transient factorization.
+fn initial_state(
+    ckt: &Circuit,
+    layout: &MnaLayout,
+    spec: &TransientSpec,
+    src0: &[f64],
+) -> Result<Vec<f64>, CircuitError> {
+    let _ds = vpec_trace::span("transient.dc");
+    if src0.iter().all(|&v| v == 0.0) {
+        // The DC phase still shows in a trace, at its true (nil) cost.
+        let mut sp = vpec_trace::span!("dc", "dim" => layout.dim);
+        sp.set_attr("zero_drive", true);
+        return Ok(vec![0.0; layout.dim]);
+    }
+    let (dc, _) = solve_dc_opts(
+        ckt,
+        FactorOptions {
+            kind: spec.solver,
+            regularize: spec.regularize,
+            fail_primary: false,
+        },
+    )?;
+    Ok(dc.x)
+}
+
 /// A factorization of the transient MNA system prepared ahead of time —
 /// the **factor-once/solve-many** handle.
 ///
@@ -223,9 +269,10 @@ pub struct TransientFactor {
     a: vpec_numerics::CooMatrix<f64>,
     factored: Factored<f64>,
     factor_diag: FactorDiagnostics,
-    /// DC operating point (sources at `t = 0`) — the initial condition.
-    dc_x: Vec<f64>,
-    /// Source values at `t = 0` when the DC point was computed.
+    /// Initial condition: the DC operating point (sources at `t = 0`),
+    /// or zero when no source drives the circuit at `t = 0`.
+    x0: Vec<f64>,
+    /// Source values at `t = 0` when the initial condition was computed.
     src0: Vec<f64>,
 }
 
@@ -297,7 +344,8 @@ impl TransientFactor {
     }
 }
 
-/// Factors the transient MNA system (and solves the DC initial condition)
+/// Factors the transient MNA system (and computes the initial condition,
+/// solving for the DC operating point unless the drive is zero at `t = 0`)
 /// without stepping — the expensive half of **factor-once/solve-many**.
 ///
 /// The returned [`TransientFactor`] can back any number of
@@ -334,20 +382,8 @@ pub fn prepare_transient(
             other => other,
         })?
     };
-    // Same DC policy as a cold run: honor the regularization opt-in but
-    // never the fault injection (that targets the transient factor).
-    let (dc, _) = {
-        let _ds = vpec_trace::span("transient.dc");
-        solve_dc_opts(
-            ckt,
-            FactorOptions {
-                kind: spec.solver,
-                regularize: spec.regularize,
-                fail_primary: false,
-            },
-        )?
-    };
     let src0 = source_values_at_zero(ckt);
+    let x0 = initial_state(ckt, &layout, spec, &src0)?;
     Ok(TransientFactor {
         dim: layout.dim,
         dt: spec.dt,
@@ -357,12 +393,13 @@ pub fn prepare_transient(
         a,
         factored,
         factor_diag,
-        dc_x: dc.x,
+        x0,
         src0,
     })
 }
 
-/// Runs a fixed-step transient analysis from the DC operating point.
+/// Runs a fixed-step transient analysis from the DC operating point (the
+/// zero state when no source is nonzero at `t = 0`; see the module docs).
 ///
 /// Convenience wrapper around [`run_transient_with_report`] that discards
 /// the diagnostics.
@@ -370,8 +407,9 @@ pub fn prepare_transient(
 /// # Errors
 ///
 /// * [`CircuitError::InvalidSpec`] for non-positive `t_stop`/`dt`.
-/// * [`CircuitError::SingularSystem`] if the DC or transient MNA system is
-///   singular even after the fallback chain.
+/// * [`CircuitError::SingularSystem`] if the transient MNA system, or the
+///   DC system of a circuit driven at `t = 0`, is singular even after the
+///   fallback chain.
 /// * [`CircuitError::NonFiniteSolution`] if a step stays non-finite after
 ///   the bounded step-halving retries.
 pub fn run_transient(ckt: &Circuit, spec: &TransientSpec) -> Result<TransientResult, CircuitError> {
@@ -463,7 +501,7 @@ fn run_transient_guarded(
             pf.check(ckt, spec, &layout, &a)?;
             owned_factor = None;
             diag.factor = pf.factor_diag.clone();
-            x = pf.dc_x.clone();
+            x = pf.x0.clone();
         }
         None => {
             let opts = FactorOptions {
@@ -477,24 +515,7 @@ fn run_transient_guarded(
             };
             owned_factor = Some(factored);
             diag.factor = factor_diag;
-
-            // Initial condition: DC operating point with sources at t = 0.
-            // The operating point honors the caller's regularization opt-in
-            // (a DC-floating node can still start a meaningful transient),
-            // but never the fault injection — that targets the transient
-            // factorization.
-            let (dc, _) = {
-                let _ds = vpec_trace::span("transient.dc");
-                solve_dc_opts(
-                    ckt,
-                    FactorOptions {
-                        kind: spec.solver,
-                        regularize: spec.regularize,
-                        fail_primary: false,
-                    },
-                )?
-            };
-            x = dc.x;
+            x = initial_state(ckt, &layout, spec, &source_values_at_zero(ckt))?;
         }
     }
     debug_assert_eq!(x.len(), layout.dim);
@@ -581,11 +602,14 @@ fn run_transient_guarded(
         }
         companions.history(&mut rhs, &x, coef, trap);
 
-        let factored: &Factored<f64> = match (&owned_factor, prefactored) {
-            (Some(f), _) => f,
-            (None, Some(pf)) => &pf.factored,
-            (None, None) => unreachable!("cold runs always own their factor"),
-        };
+        // A cold run owns its factor from the start and a prefactored one
+        // borrows it, so one of the two is always present.
+        let factored = owned_factor
+            .as_ref()
+            .or(prefactored.map(|pf| &pf.factored))
+            .ok_or(CircuitError::SingularSystem {
+                analysis: "transient",
+            })?;
         factored.solve_into(&rhs, &mut x_new, &mut scratch)?;
         if poison == Some(accepted) && !x_new.is_empty() {
             x_new[0] = f64::NAN; // injected fault, consumed once
@@ -772,6 +796,71 @@ mod tests {
         let v = res.voltage(out).unwrap();
         assert!((v[0] - 1.0).abs() < 1e-9, "cap pre-charged at t=0");
         assert!((v.last().unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    /// A step-driven divider whose `mid` node reaches the rest of the
+    /// circuit only through capacitors: the DC matrix is singular, the
+    /// transient one (capacitor companions) is not.
+    fn capacitively_floating(wave: Waveform) -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let inp = c.node("in");
+        let mid = c.node("mid");
+        c.add_vsource("V1", inp, Circuit::GROUND, wave).unwrap();
+        c.add_capacitor("C1", inp, mid, 1e-12).unwrap();
+        c.add_capacitor("C2", mid, Circuit::GROUND, 1e-12).unwrap();
+        (c, mid)
+    }
+
+    #[test]
+    fn zero_drive_starts_from_zero_even_when_dc_is_singular() {
+        let (c, mid) = capacitively_floating(Waveform::step(1.0, 10e-12));
+        assert!(matches!(
+            crate::dc::solve_dc(&c),
+            Err(CircuitError::SingularSystem { analysis: "dc" })
+        ));
+        // No source is nonzero at t = 0, so the run starts from x = 0
+        // (SPICE's UIC) without the DC solve, cold or prefactored.
+        let spec = TransientSpec::new(40e-12, 1e-12);
+        let (res, _) = run_transient_with_report(&c, &spec).unwrap();
+        let v = res.voltage(mid).unwrap();
+        assert_eq!(v[0], 0.0);
+        // The capacitive divider splits the step in half.
+        assert!((v.last().unwrap() - 0.5).abs() < 1e-9, "{}", v.last().unwrap());
+        let pf = prepare_transient(&c, &spec).unwrap();
+        let (res2, _) = run_transient_with_report_prefactored(&c, &spec, &pf).unwrap();
+        assert_eq!(res2.voltage(mid).unwrap(), v);
+    }
+
+    #[test]
+    fn nonzero_drive_at_t0_still_needs_the_dc_point() {
+        let (c, _) = capacitively_floating(Waveform::dc(1.0));
+        let spec = TransientSpec::new(10e-12, 1e-12);
+        for err in [
+            run_transient(&c, &spec).unwrap_err(),
+            prepare_transient(&c, &spec).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, CircuitError::SingularSystem { analysis: "dc" }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_drive_initial_state_matches_the_dc_point() {
+        // Where the DC matrix is regular, skipping its solve changes
+        // nothing: the operating point of an undriven linear circuit is 0.
+        let mut c = Circuit::new();
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.add_vsource("V1", inp, Circuit::GROUND, Waveform::step(1.0, 5e-12))
+            .unwrap();
+        c.add_resistor("R1", inp, out, 50.0).unwrap();
+        c.add_inductor("L1", out, Circuit::GROUND, 1e-9).unwrap();
+        let dc = crate::dc::solve_dc(&c).unwrap();
+        assert!(dc.unknowns().iter().all(|&v| v == 0.0));
+        let res = run_transient(&c, &TransientSpec::new(5e-12, 1e-12)).unwrap();
+        assert_eq!(res.voltage(out).unwrap()[0], 0.0);
     }
 
     #[test]

@@ -49,6 +49,16 @@ pub enum NumericsError {
         /// The offending `(row, col)` index (vectors use column 0).
         index: (usize, usize),
     },
+    /// The matrix is too large for the kernel's index width (the sparse
+    /// LU stores row indices as `u32`).
+    TooLarge {
+        /// What the caller tried to do.
+        op: &'static str,
+        /// The dimension that was supplied.
+        dim: usize,
+        /// The largest dimension the kernel accepts.
+        max: usize,
+    },
     /// The operation observed its [`crate::cancel::CancelToken`] set and
     /// stopped cooperatively (deadline enforcement, not a numeric failure).
     Cancelled {
@@ -85,6 +95,12 @@ impl fmt::Display for NumericsError {
                 "non-finite value in {op} at ({}, {})",
                 index.0, index.1
             ),
+            NumericsError::TooLarge { op, dim, max } => {
+                write!(
+                    f,
+                    "{op}: dimension {dim} exceeds the supported maximum {max}"
+                )
+            }
             NumericsError::Cancelled { op } => write!(f, "{op} cancelled by deadline"),
         }
     }
@@ -123,6 +139,13 @@ mod tests {
         };
         assert!(e.to_string().contains("non-finite"));
         assert!(e.to_string().contains("(1, 2)"));
+        let e = NumericsError::TooLarge {
+            op: "sparse lu",
+            dim: 1 << 33,
+            max: u32::MAX as usize,
+        };
+        assert!(e.to_string().contains("exceeds"));
+        assert!(e.to_string().contains("sparse lu"));
         let e = NumericsError::Cancelled { op: "lu factor" };
         assert!(e.to_string().contains("cancelled"));
         assert!(e.to_string().contains("lu factor"));

@@ -71,30 +71,44 @@ impl<T: Scalar> CooMatrix<T> {
     }
 
     /// Compresses to CSR, summing duplicates and dropping exact zeros.
+    ///
+    /// Entries are bucketed by row in insertion order, then each row is
+    /// stably sorted by column, so duplicates are summed in the order they
+    /// were pushed.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        let mut sorted = self.entries.clone();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx: Vec<usize> = Vec::with_capacity(sorted.len());
-        let mut values: Vec<T> = Vec::with_capacity(sorted.len());
-        let mut iter = sorted.into_iter().peekable();
-        while let Some((r, c, mut v)) = iter.next() {
-            while let Some(&(r2, c2, v2)) = iter.peek() {
-                if r2 == r && c2 == c {
-                    v += v2;
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            if !v.is_zero() {
-                col_idx.push(c);
-                values.push(v);
-                row_ptr[r + 1] += 1;
-            }
+        let mut start = vec![0usize; self.rows + 1];
+        for &(r, _, _) in &self.entries {
+            start[r + 1] += 1;
         }
         for i in 0..self.rows {
-            row_ptr[i + 1] += row_ptr[i];
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut bucket: Vec<(usize, T)> = vec![(0, T::zero()); self.entries.len()];
+        for &(r, c, v) in &self.entries {
+            bucket[cursor[r]] = (c, v);
+            cursor[r] += 1;
+        }
+        let mut row_ptr = vec![0usize; self.rows + 1];
+        let mut col_idx: Vec<usize> = Vec::with_capacity(bucket.len());
+        let mut values: Vec<T> = Vec::with_capacity(bucket.len());
+        for r in 0..self.rows {
+            let row = &mut bucket[start[r]..start[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            let mut k = 0;
+            while k < row.len() {
+                let (c, mut v) = row[k];
+                k += 1;
+                while k < row.len() && row[k].0 == c {
+                    v += row[k].1;
+                    k += 1;
+                }
+                if !v.is_zero() {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr[r + 1] = col_idx.len();
         }
         CsrMatrix {
             rows: self.rows,
@@ -117,6 +131,29 @@ pub struct CsrMatrix<T = f64> {
 }
 
 impl<T: Scalar> CsrMatrix<T> {
+    /// Assembles a matrix from its CSR arrays. The caller guarantees the
+    /// invariants `to_csr` establishes: `row_ptr` has `rows + 1`
+    /// nondecreasing entries ending at `col_idx.len() == values.len()`,
+    /// and every row's columns are strictly increasing and below `cols`.
+    pub(crate) fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<T>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(row_ptr.last().copied(), Some(col_idx.len()));
+        debug_assert_eq!(col_idx.len(), values.len());
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -281,6 +318,23 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         coo.push(0, 0, -1.0).unwrap();
         assert_eq!(coo.to_csr().nnz(), 0);
+    }
+
+    #[test]
+    fn duplicates_sum_in_insertion_order() {
+        // (1e16 + 1) − 1e16 rounds to 0 in f64; any other order gives 1.
+        let mut coo = CooMatrix::new(3, 3);
+        coo.push(1, 2, 1e16).unwrap();
+        coo.push(2, 0, 7.0).unwrap();
+        coo.push(1, 2, 1.0).unwrap();
+        coo.push(1, 0, 3.0).unwrap();
+        coo.push(1, 2, -1e16).unwrap();
+        coo.push(1, 1, 2.0).unwrap();
+        coo.push(1, 1, 0.5).unwrap();
+        let csr = coo.to_csr();
+        assert_eq!(csr.row(0), (&[][..], &[][..]));
+        assert_eq!(csr.row(1), (&[0, 1][..], &[3.0, 2.5][..]));
+        assert_eq!(csr.row(2), (&[0][..], &[7.0][..]));
     }
 
     #[test]

@@ -151,6 +151,23 @@ for net in 1 2; do
     || { echo "large-bus smoke: no peak reported for net $net" >&2; cat "$big_out" >&2; exit 1; }
 done
 
+echo "==> fill-ordering smoke (Table II full VPEC factors under AMD)"
+# Each sparse MNA factor is ordered by RCM or AMD, whichever predicts less
+# fill. Full VPEC's transient matrix on the 32x8 bus has 337 k LU
+# nonzeros under RCM and ~90 k under AMD, and the count is deterministic;
+# a fill regression would otherwise show only as a slower benchmark.
+fill_out="target/fill_smoke.txt"
+timeout 120 ./target/release/vpec simulate --bits 32 --segments 8 --kind vpec-full \
+  --tstop 20p --dt 1p --probe 16 > "$fill_out"
+factor_line=$(grep '^factor:' "$fill_out") \
+  || { echo "fill smoke: no factor: line" >&2; cat "$fill_out" >&2; exit 1; }
+echo "$factor_line"
+echo "$factor_line" | grep -q 'ordering amd' \
+  || { echo "fill smoke: full VPEC must be ordered by AMD" >&2; exit 1; }
+fill_nnz=$(echo "$factor_line" | sed -n 's/.*factor_nnz \([0-9]*\).*/\1/p')
+[ -n "$fill_nnz" ] && [ "$fill_nnz" -le 120000 ] \
+  || { echo "fill smoke: factor_nnz ${fill_nnz:-?} above the 120000 ceiling" >&2; exit 1; }
+
 echo "==> traced serve stream smoke (40 000 repeated requests, --trace=summary)"
 # The tracer aggregates spans as they close, so a long traced stream must
 # run in time linear in its length and in memory bounded by the number of
