@@ -1,6 +1,6 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! * **Solver backend** — dense LU vs RCM-ordered sparse LU on the same
+//! * **Solver backend** — dense LU vs AMD-ordered sparse LU on the same
 //!   sparsified-VPEC netlist;
 //! * **Time stepping** — fixed-step trapezoidal (factor once) vs adaptive
 //!   stepping (the HSPICE-like regime in which sparsity pays on every
@@ -37,7 +37,7 @@ fn bench_solver_backend(c: &mut Criterion) {
     ] {
         let label = match kind {
             SolverKind::Dense => "dense",
-            SolverKind::Sparse => "sparse-rcm",
+            SolverKind::Sparse => "sparse-amd",
             _ => "sparse-noorder",
         };
         let spec = TransientSpec::new(0.2e-9, 1e-12).solver(kind);

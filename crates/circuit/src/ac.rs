@@ -158,7 +158,7 @@ pub fn run_ac(ckt: &Circuit, spec: &AcSpec) -> Result<AcResult, CircuitError> {
             }
         }
         let (factored, _) =
-            Factored::factor_planned(&a, FactorOptions::new(spec.solver), plan.as_ref())
+            Factored::factor_with(&a, FactorOptions::new(spec.solver), plan.as_ref())
                 .map_err(|e| match e {
                     CircuitError::SingularSystem { .. } => {
                         CircuitError::SingularSystem { analysis: "ac" }

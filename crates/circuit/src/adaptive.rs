@@ -142,7 +142,7 @@ pub fn run_transient_adaptive(
                 let a = assemble::<f64>(ckt, &layout, |c| coef * c, |l| coef * l);
                 let plan = plan.get_or_insert_with(|| FillPlan::for_kind(&a, spec.solver));
                 let (f, _) =
-                    Factored::factor_planned(&a, FactorOptions::new(spec.solver), plan.as_ref())
+                    Factored::factor_with(&a, FactorOptions::new(spec.solver), plan.as_ref())
                         .map_err(|e| match e {
                             CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
                                 analysis: "transient",

@@ -86,7 +86,7 @@ pub(crate) fn solve_dc_opts(
             _ => {}
         }
     }
-    let (factored, diag) = Factored::factor_with(&a, opts).map_err(|e| match e {
+    let (factored, diag) = Factored::factor_with(&a, opts, None).map_err(|e| match e {
         CircuitError::SingularSystem { .. } => CircuitError::SingularSystem { analysis: "dc" },
         other => other,
     })?;

@@ -14,8 +14,8 @@
 /// A factorization backend attempted by the fallback chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorStrategy {
-    /// Sparse Gilbert–Peierls LU under a fill-reducing ordering (RCM or
-    /// AMD, whichever predicts less fill for the matrix at hand).
+    /// Sparse Gilbert–Peierls LU under the approximate minimum degree
+    /// fill ordering.
     SparseLu,
     /// Sparse LU without the fill-reducing ordering.
     SparseLuNoOrdering,
@@ -45,8 +45,6 @@ impl FactorStrategy {
 /// The symmetric fill ordering a sparse factor was computed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillOrdering {
-    /// Reverse Cuthill–McKee (bandwidth-reducing).
-    Rcm,
     /// Approximate minimum degree (fill-reducing).
     Amd,
     /// The matrix's own numbering.
@@ -54,10 +52,9 @@ pub enum FillOrdering {
 }
 
 impl FillOrdering {
-    /// Short label for reports: `"rcm"`, `"amd"` or `"none"`.
+    /// Short label for reports: `"amd"` or `"none"`.
     pub fn label(self) -> &'static str {
         match self {
-            FillOrdering::Rcm => "rcm",
             FillOrdering::Amd => "amd",
             FillOrdering::Natural => "none",
         }

@@ -6,15 +6,13 @@
 //!
 //! The sparse path mirrors the mechanism the paper credits for VPEC's
 //! simulation speed-up: "its internal sparse solver is more efficient for
-//! a less dense matrix". Before it factors, it orders the unknowns for
-//! fill. Two orderings compete on every matrix — reverse Cuthill–McKee,
-//! which suits near-banded systems such as windowed VPEC, and approximate
-//! minimum degree, which suits the fully coupled ones (full VPEC, PEEC) —
-//! and the one whose symbolic Cholesky factor of `A + Aᵀ` has fewer
-//! nonzeros wins. The choice follows the matrix alone; no option selects
-//! it. Every solve is direct: on the benched MNA systems sparse LU beats
-//! preconditioned Krylov iteration by orders of magnitude in time and
-//! gives the exact answer. The recovery chain is this workspace's
+//! a less dense matrix". Before it factors, it orders the unknowns by
+//! approximate minimum degree on the pattern of `A + Aᵀ`, which keeps the
+//! fill of the fully coupled systems (full VPEC, PEEC) low and that of the
+//! near-banded windowed ones at or below a bandwidth order's. Every solve
+//! is direct: on the benched MNA systems sparse LU beats preconditioned
+//! Krylov iteration by orders of magnitude in time and gives the exact
+//! answer. The recovery chain is this workspace's
 //! production hardening: a near-singular MNA system degrades through the
 //! chain and is reported in [`FactorDiagnostics`] instead of panicking or
 //! silently emitting garbage.
@@ -22,7 +20,7 @@
 use crate::diagnostics::{FactorAttempt, FactorDiagnostics, FactorStrategy, FillOrdering};
 use crate::error::CircuitError;
 use vpec_numerics::ordering::SymmetricPattern;
-use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, Scalar, SparseLu};
+use vpec_numerics::{CooMatrix, CsrMatrix, LuFactor, NumericsError, Scalar, SparseLu};
 
 /// Which factorization backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,8 +30,7 @@ pub enum SolverKind {
     Auto,
     /// Force dense LU.
     Dense,
-    /// Force sparse LU (under the RCM or AMD ordering, whichever
-    /// predicts less fill).
+    /// Force sparse LU under the approximate minimum degree ordering.
     Sparse,
     /// Sparse LU **without** the fill-reducing ordering — exists for the
     /// ablation benches; expect catastrophic fill on netlist-ordered MNA
@@ -103,76 +100,64 @@ pub(crate) enum Factored<T: Scalar> {
     },
 }
 
-/// The fill ordering chosen for one sparsity pattern: the winner and its
-/// permutation (`perm[new] = old`). Matrices that share the pattern — the
-/// frequency points of an AC sweep — reuse it instead of ordering again.
+/// The fill ordering of one sparsity pattern, `perm[new] = old`.
+/// Matrices that share the pattern — the frequency points of an AC sweep,
+/// the step sizes of an adaptive transient — reuse it instead of ordering
+/// again.
 #[derive(Debug, Clone)]
 pub(crate) struct FillPlan {
-    ordering: FillOrdering,
     perm: Vec<usize>,
 }
 
 impl FillPlan {
-    /// Orders the unknowns of `coo` (see [`fill_ordering`]) when `kind`
-    /// can factor under a fill ordering; `None` for the backends that
-    /// never use one.
+    /// Orders the unknowns of `coo` by approximate minimum degree when
+    /// `kind` factors it with sparse LU under an ordering; `None` when the
+    /// primary backend is dense LU or unordered sparse LU.
     pub fn for_kind<T: Scalar>(coo: &CooMatrix<T>, kind: SolverKind) -> Option<Self> {
-        match kind {
-            SolverKind::Auto | SolverKind::Sparse => Some(fill_ordering(&coo.to_csr())),
-            SolverKind::Dense | SolverKind::SparseNoOrdering => None,
+        let csr = coo.to_csr();
+        (primary_strategy(kind, &csr) == FactorStrategy::SparseLu).then(|| Self::new(&csr))
+    }
+
+    fn new<T: Scalar>(csr: &CsrMatrix<T>) -> Self {
+        let _sp = vpec_trace::span("factor.order");
+        FillPlan {
+            perm: SymmetricPattern::new(csr).amd(),
         }
     }
 }
 
-/// Orders the unknowns of `csr` for fill: RCM and AMD on the symmetrised
-/// pattern, keeping the one whose predicted Cholesky fill is smaller (RCM
-/// on a tie).
-fn fill_ordering<T: Scalar>(csr: &CsrMatrix<T>) -> FillPlan {
-    let _sp = vpec_trace::span("factor.order");
-    let pattern = SymmetricPattern::new(csr);
-    let rcm = pattern.rcm();
-    let amd = pattern.amd();
-    let fill = |perm: &[usize]| pattern.cholesky_nnz(perm).unwrap_or(u64::MAX);
-    let (fill_rcm, fill_amd) = (fill(&rcm), fill(&amd));
-    if vpec_trace::enabled() {
-        vpec_trace::counter_add("factor.predicted_fill.rcm", fill_rcm);
-        vpec_trace::counter_add("factor.predicted_fill.amd", fill_amd);
-    }
-    if fill_amd < fill_rcm {
-        FillPlan {
-            ordering: FillOrdering::Amd,
-            perm: amd,
+/// The backend the fallback chain tries first: `kind` itself when it
+/// forces one; for `Auto`, dense LU for small systems and for dense
+/// mid-size ones, where sparse LU is several times slower, and ordered
+/// sparse LU otherwise.
+fn primary_strategy<T: Scalar>(kind: SolverKind, csr: &CsrMatrix<T>) -> FactorStrategy {
+    match kind {
+        SolverKind::Auto => {
+            let dim = csr.rows();
+            if dim <= 64 || (csr.density() > 0.15 && dim <= 2048) {
+                FactorStrategy::DenseLu
+            } else {
+                FactorStrategy::SparseLu
+            }
         }
-    } else {
-        FillPlan {
-            ordering: FillOrdering::Rcm,
-            perm: rcm,
-        }
+        SolverKind::Dense => FactorStrategy::DenseLu,
+        SolverKind::Sparse => FactorStrategy::SparseLu,
+        SolverKind::SparseNoOrdering => FactorStrategy::SparseLuNoOrdering,
     }
 }
 
 impl<T: Scalar> Factored<T> {
     /// Factors the assembled system with the requested backend. The sparse
-    /// path orders the unknowns for fill first (RCM or AMD, by predicted
-    /// fill) — netlist-order MNA unknowns factor with catastrophic fill
-    /// otherwise. On failure the bounded fallback chain engages; see
-    /// [`Factored::factor_with`].
+    /// path orders the unknowns for fill first — netlist-order MNA
+    /// unknowns factor with catastrophic fill otherwise. On failure the
+    /// bounded fallback chain engages; see [`Factored::factor_with`].
     pub fn factor(coo: &CooMatrix<T>, kind: SolverKind) -> Result<Self, CircuitError> {
-        Self::factor_planned(coo, FactorOptions::new(kind), None).map(|(f, _)| f)
+        Self::factor_with(coo, FactorOptions::new(kind), None).map(|(f, _)| f)
     }
 
-    /// Factors with the full fallback chain and returns what happened;
-    /// see [`Factored::factor_planned`].
-    pub fn factor_with(
-        coo: &CooMatrix<T>,
-        opts: FactorOptions,
-    ) -> Result<(Self, FactorDiagnostics), CircuitError> {
-        Self::factor_planned(coo, opts, None)
-    }
-
-    /// Factors with the full fallback chain and returns what happened. A
-    /// sparse primary orders by `plan` when it is given and fits the
-    /// matrix, and orders afresh otherwise.
+    /// Factors with the full fallback chain and returns what happened. An
+    /// ordered sparse primary uses `plan` when it is given and orders
+    /// afresh otherwise.
     ///
     /// Stages, in order (each bounded, no retry loops besides the fixed
     /// `ε` escalation):
@@ -187,26 +172,30 @@ impl<T: Scalar> Factored<T> {
     /// The returned [`FactorDiagnostics`] records every attempt, the
     /// condition estimate, fill ordering, nonzeros and storage of the
     /// accepted factor and the final `ε`.
-    pub fn factor_planned(
+    ///
+    /// # Errors
+    ///
+    /// A plan whose length is not the matrix dimension is a caller error,
+    /// reported as [`CircuitError::Numerics`] before any stage runs; a
+    /// system that no stage can factor is
+    /// [`CircuitError::SingularSystem`] (or the last stage's error).
+    pub fn factor_with(
         coo: &CooMatrix<T>,
         opts: FactorOptions,
         plan: Option<&FillPlan>,
     ) -> Result<(Self, FactorDiagnostics), CircuitError> {
         let csr = coo.to_csr();
         let dim = csr.rows();
-        let mut sp = vpec_trace::span!("factor", "dim" => dim);
-        let primary_strategy = match opts.kind {
-            SolverKind::Auto => {
-                if dim <= 64 || (csr.density() > 0.15 && dim <= 2048) {
-                    FactorStrategy::DenseLu
-                } else {
-                    FactorStrategy::SparseLu
-                }
+        if let Some(p) = plan.filter(|p| p.perm.len() != dim) {
+            return Err(NumericsError::DimensionMismatch {
+                op: "fill plan",
+                expected: (dim, 1),
+                found: (p.perm.len(), 1),
             }
-            SolverKind::Dense => FactorStrategy::DenseLu,
-            SolverKind::Sparse => FactorStrategy::SparseLu,
-            SolverKind::SparseNoOrdering => FactorStrategy::SparseLuNoOrdering,
-        };
+            .into());
+        }
+        let mut sp = vpec_trace::span!("factor", "dim" => dim);
+        let primary_strategy = primary_strategy(opts.kind, &csr);
 
         let mut diag = FactorDiagnostics::default();
         let mut last_err: Option<CircuitError> = None;
@@ -333,16 +322,16 @@ impl<T: Scalar> Factored<T> {
             }),
             FactorStrategy::SparseLu => {
                 let fresh;
-                let plan = match plan {
-                    Some(p) if p.perm.len() == csr.rows() => p,
-                    _ => {
-                        fresh = fill_ordering(csr);
-                        &fresh
+                let perm = match plan {
+                    Some(p) => &p.perm,
+                    None => {
+                        fresh = FillPlan::new(csr);
+                        &fresh.perm
                     }
                 };
                 Ok(Factored::Sparse {
-                    lu: SparseLu::with_ordering(csr, &plan.perm)?,
-                    ordering: plan.ordering,
+                    lu: SparseLu::with_ordering(csr, perm)?,
+                    ordering: FillOrdering::Amd,
                 })
             }
             _ => Ok(Factored::Dense(LuFactor::new(&csr.to_dense())?)),
@@ -469,7 +458,8 @@ mod tests {
             }
         }
         assert!(coo.to_csr().density() > 0.15);
-        let (f, diag) = Factored::factor_with(&coo, FactorOptions::new(SolverKind::Auto)).unwrap();
+        let (f, diag) =
+            Factored::factor_with(&coo, FactorOptions::new(SolverKind::Auto), None).unwrap();
         assert!(!f.is_sparse());
         assert_eq!(diag.accepted(), Some(FactorStrategy::DenseLu));
     }
@@ -548,7 +538,7 @@ mod tests {
             regularize: false,
             fail_primary: true,
         };
-        let (f, diag) = Factored::factor_with(&coo, opts).unwrap();
+        let (f, diag) = Factored::factor_with(&coo, opts, None).unwrap();
         assert!(!f.is_sparse(), "fell back to dense");
         assert!(diag.used_fallback());
         assert_eq!(diag.accepted(), Some(FactorStrategy::DenseLu));
@@ -563,7 +553,7 @@ mod tests {
             regularize: false,
             fail_primary: true,
         };
-        let (f, diag) = Factored::factor_with(&diag_coo(3), opts).unwrap();
+        let (f, diag) = Factored::factor_with(&diag_coo(3), opts, None).unwrap();
         assert!(!f.is_sparse());
         assert_eq!(diag.attempts.len(), 2);
         assert!(!diag.attempts[0].succeeded);
@@ -575,7 +565,7 @@ mod tests {
     fn singular_without_regularization_is_typed_error() {
         let coo = CooMatrix::<f64>::new(3, 3);
         let opts = FactorOptions::new(SolverKind::Sparse);
-        let err = Factored::factor_with(&coo, opts).unwrap_err();
+        let err = Factored::factor_with(&coo, opts, None).unwrap_err();
         assert!(matches!(err, CircuitError::SingularSystem { .. }));
     }
 
@@ -587,7 +577,7 @@ mod tests {
             regularize: true,
             fail_primary: false,
         };
-        let (f, diag) = Factored::factor_with(&coo, opts).unwrap();
+        let (f, diag) = Factored::factor_with(&coo, opts, None).unwrap();
         let eps = diag.regularization.expect("regularized stage used");
         assert!(eps > 0.0);
         let x = f.solve(&[1.0, 2.0, 3.0]).unwrap();
@@ -630,7 +620,7 @@ mod tests {
         let b: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.37).sin()).collect();
 
         let (auto, diag) =
-            Factored::factor_with(&coo, FactorOptions::new(SolverKind::Auto)).unwrap();
+            Factored::factor_with(&coo, FactorOptions::new(SolverKind::Auto), None).unwrap();
         assert_eq!(diag.accepted(), Some(FactorStrategy::SparseLu));
         assert!(!diag.used_fallback(), "{}", diag.summary());
         assert_eq!(diag.iterations, None);
@@ -661,7 +651,8 @@ mod tests {
     #[test]
     fn factor_bytes_measure_the_accepted_factor() {
         let (_, dense) =
-            Factored::factor_with(&diag_coo(8), FactorOptions::new(SolverKind::Dense)).unwrap();
+            Factored::factor_with(&diag_coo(8), FactorOptions::new(SolverKind::Dense), None)
+                .unwrap();
         assert_eq!(dense.factor_bytes, Some(8 * 8 * 8));
         assert_eq!(dense.factor_nnz, Some(64));
         assert_eq!(dense.ordering, None);
@@ -674,7 +665,7 @@ mod tests {
         let coo = mna_ladder(400, 16);
         let dim = coo.rows() as u64;
         let (_, sparse) =
-            Factored::factor_with(&coo, FactorOptions::new(SolverKind::Sparse)).unwrap();
+            Factored::factor_with(&coo, FactorOptions::new(SolverKind::Sparse), None).unwrap();
         let nnz = sparse.factor_nnz.unwrap();
         let off = nnz - 2 * dim;
         let usize_bytes = std::mem::size_of::<usize>() as u64;
@@ -688,13 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn ordering_follows_the_matrix() {
-        // A chain: RCM and AMD predict the same fill, and RCM keeps it.
-        let (_, chain) =
-            Factored::factor_with(&mna_ladder(300, 1000), FactorOptions::new(SolverKind::Auto))
-                .unwrap();
-        assert_eq!(chain.ordering, Some(FillOrdering::Rcm));
-        // A 2-D mesh: minimum degree wins.
+    fn sparse_factors_are_ordered_by_minimum_degree() {
         let m = 40;
         let mut grid = CooMatrix::new(m * m, m * m);
         for i in 0..m * m {
@@ -706,12 +691,16 @@ mod tests {
                 }
             }
         }
-        let (f, mesh) = Factored::factor_with(&grid, FactorOptions::new(SolverKind::Auto)).unwrap();
+        let (f, mesh) =
+            Factored::factor_with(&grid, FactorOptions::new(SolverKind::Auto), None).unwrap();
         assert_eq!(mesh.ordering, Some(FillOrdering::Amd));
         // Forcing no ordering is reported as such.
-        let (_, none) =
-            Factored::factor_with(&grid, FactorOptions::new(SolverKind::SparseNoOrdering))
-                .unwrap();
+        let (_, none) = Factored::factor_with(
+            &grid,
+            FactorOptions::new(SolverKind::SparseNoOrdering),
+            None,
+        )
+        .unwrap();
         assert_eq!(none.ordering, Some(FillOrdering::Natural));
         assert!(mesh.factor_nnz < none.factor_nnz);
         // And the ordered factor still solves the system.
@@ -719,6 +708,35 @@ mod tests {
         let x = f.solve(&b).unwrap();
         let r = grid.to_csr().matvec(&x).unwrap();
         assert!(r.iter().zip(&b).all(|(u, v)| (u - v).abs() < 1e-10));
+    }
+
+    #[test]
+    fn fill_plans_follow_the_primary_backend() {
+        // Only a system that goes to ordered sparse LU is ordered.
+        assert!(FillPlan::for_kind(&diag_coo(8), SolverKind::Auto).is_none());
+        assert!(FillPlan::for_kind(&diag_coo(500), SolverKind::Dense).is_none());
+        assert!(FillPlan::for_kind(&diag_coo(500), SolverKind::SparseNoOrdering).is_none());
+        assert!(FillPlan::for_kind(&diag_coo(8), SolverKind::Sparse).is_some());
+        let coo = mna_ladder(400, 16);
+        let plan = FillPlan::for_kind(&coo, SolverKind::Auto).unwrap();
+
+        // A plan gives the factor that ordering afresh gives.
+        let b: Vec<f64> = (0..coo.rows()).map(|i| (i as f64 * 0.3).cos()).collect();
+        let opts = FactorOptions::new(SolverKind::Auto);
+        let (planned, _) = Factored::factor_with(&coo, opts, Some(&plan)).unwrap();
+        let (fresh, _) = Factored::factor_with(&coo, opts, None).unwrap();
+        let (xp, xf) = (planned.solve(&b).unwrap(), fresh.solve(&b).unwrap());
+        assert!(xp.iter().zip(&xf).all(|(u, v)| u.to_bits() == v.to_bits()));
+
+        // A plan for another dimension is an error, not a silent re-order.
+        let err = Factored::factor_with(&mna_ladder(300, 16), opts, Some(&plan)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CircuitError::Numerics(NumericsError::DimensionMismatch { .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -733,7 +751,7 @@ mod tests {
         };
         // The all-zero matrix *is* regularizable, so this one succeeds —
         // but only after the bounded number of attempts.
-        let (_, diag) = Factored::factor_with(&coo, opts).unwrap();
+        let (_, diag) = Factored::factor_with(&coo, opts, None).unwrap();
         assert!(diag.attempts.len() <= 2 + REGULARIZATION_STEPS as usize);
     }
 }

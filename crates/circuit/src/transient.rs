@@ -375,7 +375,7 @@ pub fn prepare_transient(
     };
     let (factored, factor_diag) = {
         let _fs = vpec_trace::span("transient.factor");
-        Factored::factor_with(&a, opts).map_err(|e| match e {
+        Factored::factor_with(&a, opts, None).map_err(|e| match e {
             CircuitError::SingularSystem { .. } => CircuitError::SingularSystem {
                 analysis: "transient",
             },
@@ -511,7 +511,7 @@ fn run_transient_guarded(
             };
             let (factored, factor_diag) = {
                 let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a, opts).map_err(remap)?
+                Factored::factor_with(&a, opts, None).map_err(remap)?
             };
             owned_factor = Some(factored);
             diag.factor = factor_diag;
@@ -647,7 +647,7 @@ fn run_transient_guarded(
             };
             let (f, _) = {
                 let _fs = vpec_trace::span("transient.factor");
-                Factored::factor_with(&a, retry_opts).map_err(remap)?
+                Factored::factor_with(&a, retry_opts, None).map_err(remap)?
             };
             // A halved dt changes the matrix, so a borrowed prefactored
             // handle can no longer serve — own the fresh factor.

@@ -99,7 +99,7 @@ COMMON OPTIONS:
   --solver K        transient linear-solver backend: auto (default;
                     direct is an alias) | dense | sparse |
                     sparse-no-ordering. auto picks dense LU for small or
-                    dense systems and RCM-ordered sparse LU otherwise;
+                    dense systems and AMD-ordered sparse LU otherwise;
                     the others pin one backend. Every choice shares the
                     bounded fallback chain (dense LU, then opt-in
                     Tikhonov), so a failed backend degrades loudly

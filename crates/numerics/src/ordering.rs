@@ -1,31 +1,27 @@
-//! Fill-reducing orderings for sparse factorization.
+//! Fill-reducing ordering for sparse factorization.
 //!
-//! Every ordering here works on the *symmetrised* pattern of a square
-//! matrix — the graph of `A + Aᵀ` without its diagonal, held once as a
+//! MNA matrices assembled in netlist order interleave node and branch
+//! unknowns; factored as they stand, they fill in catastrophically. The
+//! ordering here works on the *symmetrised* pattern of a square matrix —
+//! the graph of `A + Aᵀ` without its diagonal, held once as a
 //! [`SymmetricPattern`] — and returns a permutation `perm[new] = old` that
 //! the sparse LU applies symmetrically before it factors.
 //!
-//! Two orderings are offered, because neither wins on every MNA matrix:
-//!
-//! * **Reverse Cuthill–McKee** ([`SymmetricPattern::rcm`]) narrows the
-//!   bandwidth. It suits matrices that are banded at heart, such as a
-//!   windowed VPEC model whose couplings only reach a few neighbours.
-//! * **Approximate minimum degree** ([`SymmetricPattern::amd`]), after
-//!   Amestoy, Davis & Duff, "An approximate minimum degree ordering
-//!   algorithm", SIAM J. Matrix Anal. Appl. 17(4), 1996, greedily picks
-//!   the pivot that creates the least fill. It eliminates on a quotient
-//!   graph (eliminated pivots become *elements* that stand for the cliques
-//!   they create), bounds each variable's external degree instead of
-//!   computing it exactly, absorbs elements that a newer element covers,
-//!   merges indistinguishable variables into supervariables and eliminates
-//!   a pivot's equal-pattern neighbours with it (mass elimination). It is
-//!   the order that makes a fully coupled VPEC matrix factor sparsely.
-//!
-//! [`SymmetricPattern::cholesky_nnz`] predicts the fill an ordering leads
-//! to, from the column counts of the Cholesky factor of the permuted
-//! pattern (elimination tree plus the skeleton-matrix count of Gilbert, Ng
-//! & Peyton), in `O(nnz·α(nnz, n))` time. The circuit layer factors with
-//! whichever of the two orderings predicts less.
+//! [`SymmetricPattern::amd`] is approximate minimum degree, after Amestoy,
+//! Davis & Duff, "An approximate minimum degree ordering algorithm", SIAM
+//! J. Matrix Anal. Appl. 17(4), 1996. It eliminates greedily, always the
+//! variable whose (bounded) external degree is smallest, on the *quotient
+//! graph*: an eliminated pivot becomes an *element* that stands for the
+//! clique it would create, so the graph never grows. It bounds each
+//! external degree from the element sizes instead of computing it exactly,
+//! absorbs elements that a newer element covers, merges variables with
+//! equal adjacency into supervariables, and eliminates a pivot's neighbours
+//! whose whole adjacency is the new element together with it (mass
+//! elimination). The pivots come out in a postorder of the assembly tree.
+//! It is the order that makes a fully coupled VPEC matrix factor sparsely,
+//! and it leaves the windowed ones less symmetric fill than a bandwidth
+//! order does. The LU's partial pivoting can still move rows off the
+//! diagonal, so its actual fill also depends on how ties are broken.
 
 use crate::{CsrMatrix, Scalar};
 
@@ -98,178 +94,20 @@ impl SymmetricPattern {
         &self.adj[self.ptr[v]..self.ptr[v + 1]]
     }
 
-    fn degree(&self, v: usize) -> usize {
-        self.ptr[v + 1] - self.ptr[v]
-    }
-
-    /// Reverse Cuthill–McKee ordering, `perm[new] = old`. Every connected
-    /// component is started from its lowest-degree vertex, and each
-    /// vertex's unvisited neighbours are queued in increasing degree
-    /// (ties by index).
-    pub fn rcm(&self) -> Vec<usize> {
-        let n = self.dim();
-        let mut visited = vec![false; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        // Vertices sorted by degree: candidate BFS roots.
-        let mut roots: Vec<usize> = (0..n).collect();
-        roots.sort_by_key(|&v| self.degree(v));
-        let mut nbrs: Vec<usize> = Vec::new();
-        for &root in &roots {
-            if visited[root] {
-                continue;
-            }
-            // BFS over the order vector itself: it doubles as the queue.
-            visited[root] = true;
-            let mut head = order.len();
-            order.push(root);
-            while head < order.len() {
-                let v = order[head];
-                head += 1;
-                nbrs.clear();
-                nbrs.extend(self.neighbours(v).iter().copied().filter(|&u| !visited[u]));
-                nbrs.sort_by_key(|&u| self.degree(u));
-                for &u in &nbrs {
-                    visited[u] = true;
-                    order.push(u);
-                }
-            }
-        }
-        order.reverse();
-        order
-    }
-
-    /// Approximate minimum degree ordering, `perm[new] = old`.
-    ///
-    /// Follows the quotient-graph elimination of Amestoy, Davis & Duff
-    /// (1996) in the compact form of Davis's CSparse `cs_amd`: approximate
-    /// external degrees, element absorption (including aggressive
-    /// absorption), supervariable detection by hashing, mass elimination,
-    /// and rows denser than `max(16, 10·√n)` set aside and ordered last.
-    /// The order is the postorder of the resulting assembly tree.
+    /// Approximate minimum degree ordering, `perm[new] = old`; see the
+    /// module docs. The order is a postorder of the assembly tree, each
+    /// supervariable contiguous. Vertices with more than `max(16, 10·√n)`
+    /// neighbours are kept out of the elimination and ordered last: a hub
+    /// coupled to most of the graph would otherwise inflate every degree
+    /// bound it touches.
     pub fn amd(&self) -> Vec<usize> {
-        let n = self.dim();
-        match amd_order(n, &self.ptr, &self.adj) {
-            Some(perm) if is_permutation(&perm, n) => perm,
-            // Unreachable for a well-formed pattern; the natural order is
-            // a safe answer that never panics.
-            _ => (0..n).collect(),
-        }
-    }
-
-    /// Predicted fill of ordering `perm` (`perm[new] = old`): the number of
-    /// nonzeros, diagonal included, of the Cholesky factor of the permuted
-    /// pattern. The LU factor of a matrix with this pattern needs about
-    /// twice that, less the diagonal, before pivoting moves rows.
-    ///
-    /// Returns `None` if `perm` is not a permutation of `0..dim()`.
-    pub fn cholesky_nnz(&self, perm: &[usize]) -> Option<u64> {
-        let n = self.dim();
-        if !is_permutation(perm, n) {
-            return None;
-        }
-        let mut inv = vec![0usize; n];
-        for (new, &old) in perm.iter().enumerate() {
-            inv[old] = new;
-        }
-        let parent = self.etree(perm, &inv);
-        let post = postorder(&parent);
-        Some(self.column_counts(perm, &inv, &parent, &post).iter().sum())
-    }
-
-    /// Elimination tree of the permuted pattern (`NONE` marks a root).
-    fn etree(&self, perm: &[usize], inv: &[usize]) -> Vec<usize> {
-        let n = self.dim();
-        let mut parent = vec![NONE; n];
-        let mut ancestor = vec![NONE; n];
-        for (k, &pk) in perm.iter().enumerate() {
-            for &old in self.neighbours(pk) {
-                let mut i = inv[old];
-                // Walk from i to the root of its current subtree, pointing
-                // every visited node at k (path compression).
-                while i != NONE && i < k {
-                    let next = ancestor[i];
-                    ancestor[i] = k;
-                    if next == NONE {
-                        parent[i] = k;
-                    }
-                    i = next;
-                }
-            }
-        }
-        parent
-    }
-
-    /// Column counts of the Cholesky factor of the permuted pattern
-    /// (diagonal included), from the elimination tree and its postorder.
-    fn column_counts(
-        &self,
-        perm: &[usize],
-        inv: &[usize],
-        parent: &[usize],
-        post: &[usize],
-    ) -> Vec<u64> {
-        let n = self.dim();
-        // delta[j] accumulates +1 per skeleton entry in column j and −1
-        // per overlap; summing over subtrees yields the counts.
-        let mut delta = vec![0i64; n];
-        let mut first = vec![NONE; n];
-        let mut maxfirst = vec![NONE; n];
-        let mut prevleaf = vec![NONE; n];
-        let mut ancestor: Vec<usize> = (0..n).collect();
-        for (k, &j0) in post.iter().enumerate() {
-            delta[j0] = i64::from(first[j0] == NONE);
-            let mut j = j0;
-            while j != NONE && first[j] == NONE {
-                first[j] = k;
-                j = parent[j];
-            }
-        }
-        for &j in post {
-            if parent[j] != NONE {
-                delta[parent[j]] -= 1;
-            }
-            for &old in self.neighbours(perm[j]) {
-                let i = inv[old];
-                // Only the strictly lower entries A(i, j), i > j, count.
-                if i <= j || (maxfirst[i] != NONE && first[j] <= maxfirst[i]) {
-                    continue;
-                }
-                maxfirst[i] = first[j];
-                let jprev = prevleaf[i];
-                prevleaf[i] = j;
-                delta[j] += 1;
-                if jprev != NONE {
-                    // Subsequent leaf: subtract the overlap at the least
-                    // common ancestor of jprev and j.
-                    let mut q = jprev;
-                    while q != ancestor[q] {
-                        q = ancestor[q];
-                    }
-                    let mut s = jprev;
-                    while s != q {
-                        let sparent = ancestor[s];
-                        ancestor[s] = q;
-                        s = sparent;
-                    }
-                    delta[q] -= 1;
-                }
-            }
-            if parent[j] != NONE {
-                ancestor[j] = parent[j];
-            }
-        }
-        // Children precede parents in a postorder, so one pass sums them.
-        let mut counts = delta;
-        for &j in post {
-            if parent[j] != NONE {
-                counts[parent[j]] += counts[j];
-            }
-        }
-        counts.into_iter().map(|c| c.max(0) as u64).collect()
+        let order = QuotientGraph::new(self).eliminate_all();
+        debug_assert!(is_permutation(&order, self.dim()));
+        order
     }
 }
 
-/// Index sentinel: no parent / not yet seen.
+/// Index sentinel: end of a list.
 const NONE: usize = usize::MAX;
 
 /// `true` when `perm` holds each of `0..n` exactly once.
@@ -287,33 +125,437 @@ pub(crate) fn is_permutation(perm: &[usize], n: usize) -> bool {
     true
 }
 
-/// Postorder of a forest given by `parent` (`NONE` = root); children are
-/// visited in increasing index order.
-fn postorder(parent: &[usize]) -> Vec<usize> {
-    let n = parent.len();
-    let mut head = vec![NONE; n];
-    let mut next = vec![NONE; n];
-    for j in (0..n).rev() {
-        let p = parent[j];
-        if p != NONE {
-            next[j] = head[p];
-            head[p] = j;
+/// What a vertex of the quotient graph is at the current step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// An uneliminated principal variable.
+    Variable,
+    /// An eliminated pivot, standing for the clique of its variables.
+    Element,
+    /// Out of the graph: a variable merged into a supervariable or
+    /// eliminated together with a pivot, or an element that a newer
+    /// element covers.
+    Absorbed,
+    /// A dense vertex, left out of the elimination and ordered last.
+    Dense,
+}
+
+/// The quotient graph of a minimum-degree elimination. Variables and
+/// elements share one index space: an element keeps the index of the
+/// pivot it was formed from.
+///
+/// A variable's lists live in one region of `slots`: `E_i` first, then
+/// `A_i`. The region never has to grow: a variable joins the new element
+/// `p` only if `p` was in `A_i` or an element of `E_i` is absorbed by `p`,
+/// and either frees a slot. A region that would overflow all the same is
+/// moved to the end of `slots`. Cliques `L_e` are appended to `cliques`
+/// once, when their element is formed.
+struct QuotientGraph {
+    role: Vec<Role>,
+    slots: Vec<usize>,
+    /// Region of variable `i`: `slots[start[i]..start[i] + cap[i]]`,
+    /// holding `E_i` (`n_elems[i]` entries) and then `A_i` (`n_vars[i]`).
+    /// `A_i` may hold stale entries; they are dropped when `i` is next
+    /// updated.
+    start: Vec<usize>,
+    cap: Vec<usize>,
+    n_elems: Vec<usize>,
+    n_vars: Vec<usize>,
+    /// `L_e` of element `e`: `cliques[clique_start[e]..][..clique_len[e]]`.
+    cliques: Vec<usize>,
+    clique_start: Vec<usize>,
+    clique_len: Vec<usize>,
+    /// Original vertices a principal variable stands for.
+    weight: Vec<usize>,
+    /// For a variable, its approximate external degree; for an element,
+    /// `|L_e|`, the total weight of its variables.
+    degree: Vec<usize>,
+    lists: DegreeLists,
+    /// The original vertices of each principal variable, as a chain:
+    /// `chain_next` links it (ended by `NONE`), `chain_tail` is its end.
+    chain_next: Vec<usize>,
+    chain_tail: Vec<usize>,
+    /// `mark[v] == s` flags `v` during the pass that drew stamp `s`.
+    mark: Vec<usize>,
+    /// `|L_e \ L_p|` of element `e` during the step that drew stamp
+    /// `outside_stamp[e]`.
+    outside: Vec<usize>,
+    outside_stamp: Vec<usize>,
+    stamp: usize,
+    /// Total weight of the variables not yet eliminated.
+    remaining: usize,
+    /// Assembly tree: the element that absorbed element `e`, or `NONE`.
+    parent: Vec<usize>,
+    /// Pivots in elimination order.
+    pivots: Vec<usize>,
+    dense: Vec<usize>,
+    /// Per-step buffers, kept to reuse their allocations.
+    clique: Vec<usize>,
+    survivors: Vec<(usize, usize)>,
+    by_hash: Vec<(usize, usize)>,
+    kept: Vec<usize>,
+}
+
+impl QuotientGraph {
+    fn new(pattern: &SymmetricPattern) -> Self {
+        let n = pattern.dim();
+        let dense_above = ((10.0 * (n as f64).sqrt()) as usize).max(16);
+        let role: Vec<Role> = (0..n)
+            .map(|v| {
+                if pattern.neighbours(v).len() > dense_above {
+                    Role::Dense
+                } else {
+                    Role::Variable
+                }
+            })
+            .collect();
+        let mut slots = Vec::with_capacity(pattern.adj.len());
+        let mut start = vec![0; n];
+        let mut n_vars = vec![0; n];
+        for v in (0..n).filter(|&v| role[v] == Role::Variable) {
+            start[v] = slots.len();
+            slots.extend(
+                pattern
+                    .neighbours(v)
+                    .iter()
+                    .filter(|&&u| role[u] == Role::Variable),
+            );
+            n_vars[v] = slots.len() - start[v];
+        }
+        let dense: Vec<usize> = (0..n).filter(|&v| role[v] == Role::Dense).collect();
+        let mut lists = DegreeLists::new(n);
+        for v in (0..n).filter(|&v| role[v] == Role::Variable) {
+            lists.insert(v, n_vars[v]);
+        }
+        QuotientGraph {
+            remaining: n - dense.len(),
+            role,
+            slots,
+            start,
+            cap: n_vars.clone(),
+            n_elems: vec![0; n],
+            degree: n_vars.clone(),
+            n_vars,
+            cliques: Vec::new(),
+            clique_start: vec![0; n],
+            clique_len: vec![0; n],
+            weight: vec![1; n],
+            lists,
+            chain_next: vec![NONE; n],
+            chain_tail: (0..n).collect(),
+            mark: vec![0; n],
+            outside: vec![0; n],
+            outside_stamp: vec![0; n],
+            stamp: 0,
+            parent: vec![NONE; n],
+            pivots: Vec::new(),
+            dense,
+            clique: Vec::new(),
+            survivors: Vec::new(),
+            by_hash: Vec::new(),
+            kept: Vec::new(),
         }
     }
-    let mut post = Vec::with_capacity(n);
-    let mut stack: Vec<usize> = Vec::new();
-    for (root, &p) in parent.iter().enumerate() {
-        if p != NONE {
-            continue;
+
+    fn fresh_stamp(&mut self) -> usize {
+        self.stamp += 1;
+        self.stamp
+    }
+
+    /// `E_i` of variable `i`.
+    fn elems(&self, i: usize) -> &[usize] {
+        &self.slots[self.start[i]..self.start[i] + self.n_elems[i]]
+    }
+
+    /// `A_i` of variable `i`.
+    fn vars(&self, i: usize) -> &[usize] {
+        let s = self.start[i] + self.n_elems[i];
+        &self.slots[s..s + self.n_vars[i]]
+    }
+
+    /// Pivots on a variable of least approximate degree until none is
+    /// left. Returns the pivots in a postorder of the assembly tree, each
+    /// followed by the vertices eliminated with it, and the dense vertices
+    /// last.
+    fn eliminate_all(mut self) -> Vec<usize> {
+        while let Some(p) = self.lists.pop_min() {
+            self.pivot(p);
         }
+        let n = self.parent.len();
+        let mut order = Vec::with_capacity(n);
+        for root in assembly_postorder(&self.pivots, &self.parent) {
+            let mut v = root;
+            while v != NONE {
+                order.push(v);
+                v = self.chain_next[v];
+            }
+        }
+        order.extend(self.dense);
+        order
+    }
+
+    /// Eliminates `p`: forms its element `L_p`, bounds the external degree
+    /// of every variable in it, merges the ones that became
+    /// indistinguishable, and returns them to the degree lists.
+    fn pivot(&mut self, p: usize) {
+        let in_clique = self.form_element(p);
+        let clique = std::mem::take(&mut self.clique);
+        let mut survivors = std::mem::take(&mut self.survivors);
+        survivors.clear();
+        self.remaining = self.remaining.saturating_sub(self.weight[p]);
+        let mut size: usize = clique.iter().map(|&i| self.weight[i]).sum();
+        self.measure_outside(&clique);
+
+        // Bound each variable's degree outside `L_p`; one that has no
+        // neighbour outside is eliminated with `p` (mass elimination).
+        for &i in &clique {
+            match self.prune_and_measure(i, p, in_clique) {
+                Some((external, hash)) => {
+                    self.degree[i] = self.degree[i].min(external);
+                    survivors.push((hash, i));
+                }
+                None => {
+                    let w = self.weight[i];
+                    size -= w;
+                    self.remaining = self.remaining.saturating_sub(w);
+                    self.role[i] = Role::Absorbed;
+                    self.append_chain(p, i);
+                }
+            }
+        }
+        self.merge_indistinguishable(&survivors);
+
+        // d_i = min(n − k − |i|, d_i + |L_p \ i|), with d_i already the
+        // smaller of its old bound and its degree outside L_p. Variables go
+        // back in the order `L_p` lists them, so on a tie the last one is
+        // chosen first.
+        self.clique_start[p] = self.cliques.len();
+        for &(_, i) in &survivors {
+            if self.role[i] != Role::Variable {
+                continue;
+            }
+            let w = self.weight[i];
+            let d = (self.degree[i] + size.saturating_sub(w))
+                .min(self.remaining.saturating_sub(w));
+            self.degree[i] = d;
+            self.lists.insert(i, d);
+            self.cliques.push(i);
+        }
+        self.clique_len[p] = self.cliques.len() - self.clique_start[p];
+        self.degree[p] = size;
+        self.pivots.push(p);
+        self.clique = clique;
+        self.survivors = survivors;
+    }
+
+    /// Turns pivot `p` into an element: `L_p` is the union of `A_p` and of
+    /// `L_e` for every element `e` in `E_p`, which `p` absorbs. Collects
+    /// the variables of `L_p` in `self.clique`, taken out of the degree
+    /// lists, and returns the stamp that marks them.
+    fn form_element(&mut self, p: usize) -> usize {
+        let stamp = self.fresh_stamp();
+        self.mark[p] = stamp;
+        let mut clique = std::mem::take(&mut self.clique);
+        clique.clear();
+        let (first, n_elems) = (self.start[p], self.n_elems[p]);
+        for k in first..first + n_elems {
+            let e = self.slots[k];
+            if self.role[e] != Role::Element {
+                continue;
+            }
+            let from = self.clique_start[e];
+            for t in from..from + self.clique_len[e] {
+                let i = self.cliques[t];
+                self.enrol(i, stamp, &mut clique);
+            }
+            self.role[e] = Role::Absorbed;
+            self.parent[e] = p;
+        }
+        for k in first + n_elems..first + n_elems + self.n_vars[p] {
+            let i = self.slots[k];
+            self.enrol(i, stamp, &mut clique);
+        }
+        self.n_elems[p] = 0;
+        self.n_vars[p] = 0;
+        self.role[p] = Role::Element;
+        self.clique = clique;
+        stamp
+    }
+
+    fn enrol(&mut self, i: usize, stamp: usize, clique: &mut Vec<usize>) {
+        if self.role[i] == Role::Variable && self.mark[i] != stamp {
+            self.mark[i] = stamp;
+            self.lists.remove(i);
+            clique.push(i);
+        }
+    }
+
+    /// `|L_e \ L_p|` for every element `e` that shares a variable with
+    /// `L_p`: `|L_e|` less the weight of the shared variables.
+    fn measure_outside(&mut self, clique: &[usize]) {
+        let step = self.fresh_stamp();
+        for &i in clique {
+            let w = self.weight[i];
+            let first = self.start[i];
+            for k in first..first + self.n_elems[i] {
+                let e = self.slots[k];
+                if self.role[e] != Role::Element {
+                    continue;
+                }
+                if self.outside_stamp[e] != step {
+                    self.outside_stamp[e] = step;
+                    self.outside[e] = self.degree[e];
+                }
+                self.outside[e] = self.outside[e].saturating_sub(w);
+            }
+        }
+    }
+
+    /// Updates variable `i` of the new element `p`. Drops absorbed
+    /// elements from `E_i`, absorbs into `p` every element that `L_p`
+    /// covers (`|L_e \ L_p| = 0`), and adds `p`. Drops from `A_i` the
+    /// variables now reached through `p`. Returns `i`'s degree outside
+    /// `L_p`, `Σ |L_e \ L_p| + |A_i|`, and a hash of its adjacency; `None`
+    /// if that degree is zero.
+    fn prune_and_measure(&mut self, i: usize, p: usize, in_clique: usize) -> Option<(usize, usize)> {
+        let mut external = 0usize;
+        let mut hash = p;
+        // The newest element goes first. Elements formed later from `i`
+        // then gather their variables newest clique first, and that order
+        // breaks ties between equal degrees.
+        let mut kept = std::mem::take(&mut self.kept);
+        kept.clear();
+        kept.push(p);
+        let first = self.start[i];
+        for k in first..first + self.n_elems[i] {
+            let e = self.slots[k];
+            if self.role[e] != Role::Element {
+                continue;
+            }
+            if self.outside[e] == 0 {
+                self.role[e] = Role::Absorbed;
+                self.parent[e] = p;
+                continue;
+            }
+            external += self.outside[e];
+            hash = hash.wrapping_add(e);
+            kept.push(e);
+        }
+        let n_elems = kept.len();
+        let vars_from = first + self.n_elems[i];
+        for k in vars_from..vars_from + self.n_vars[i] {
+            let j = self.slots[k];
+            if self.role[j] != Role::Variable || self.mark[j] == in_clique {
+                continue;
+            }
+            external += self.weight[j];
+            hash = hash.wrapping_add(j);
+            kept.push(j);
+        }
+
+        let result = if external == 0 {
+            self.n_elems[i] = 0;
+            self.n_vars[i] = 0;
+            None
+        } else {
+            if kept.len() > self.cap[i] {
+                self.start[i] = self.slots.len();
+                self.cap[i] = kept.len();
+                self.slots.resize(self.slots.len() + kept.len(), NONE);
+            }
+            let s = self.start[i];
+            self.slots[s..s + kept.len()].copy_from_slice(&kept);
+            self.n_elems[i] = n_elems;
+            self.n_vars[i] = kept.len() - n_elems;
+            Some((external, hash))
+        };
+        self.kept = kept;
+        result
+    }
+
+    /// Merges variables of the new element whose `E_i` and `A_i` are equal
+    /// sets into one supervariable. `survivors` holds `(hash, variable)`
+    /// pairs; only equal hashes are compared.
+    fn merge_indistinguishable(&mut self, survivors: &[(usize, usize)]) {
+        let mut by_hash = std::mem::take(&mut self.by_hash);
+        by_hash.clear();
+        by_hash.extend_from_slice(survivors);
+        by_hash.sort_unstable();
+        let mut start = 0;
+        while start < by_hash.len() {
+            let hash = by_hash[start].0;
+            let end = start + by_hash[start..].iter().take_while(|&&(h, _)| h == hash).count();
+            for a in start..end.saturating_sub(1) {
+                let i = by_hash[a].1;
+                if self.role[i] != Role::Variable {
+                    continue;
+                }
+                let stamp = self.fresh_stamp();
+                let first = self.start[i];
+                for k in first..first + self.n_elems[i] + self.n_vars[i] {
+                    let v = self.slots[k];
+                    self.mark[v] = stamp;
+                }
+                for &(_, j) in &by_hash[a + 1..end] {
+                    if self.role[j] == Role::Variable && self.same_adjacency(i, j, stamp) {
+                        self.weight[i] += self.weight[j];
+                        self.weight[j] = 0;
+                        self.role[j] = Role::Absorbed;
+                        self.n_elems[j] = 0;
+                        self.n_vars[j] = 0;
+                        self.append_chain(i, j);
+                    }
+                }
+            }
+            start = end;
+        }
+        self.by_hash = by_hash;
+    }
+
+    /// `true` when `j`'s lists have the lengths of `i`'s and every entry
+    /// carries `i`'s stamp. Neither list holds duplicates, so the sets are
+    /// then equal.
+    fn same_adjacency(&self, i: usize, j: usize, stamp: usize) -> bool {
+        self.n_elems[j] == self.n_elems[i]
+            && self.n_vars[j] == self.n_vars[i]
+            && self.elems(j).iter().all(|&e| self.mark[e] == stamp)
+            && self.vars(j).iter().all(|&v| self.mark[v] == stamp)
+    }
+
+    /// Appends the chain of original vertices of `from` to that of `into`.
+    fn append_chain(&mut self, into: usize, from: usize) {
+        let tail = self.chain_tail[into];
+        self.chain_next[tail] = from;
+        self.chain_tail[into] = self.chain_tail[from];
+    }
+}
+
+/// The pivots in a postorder of the assembly tree `parent`: every
+/// subtree contiguous, children before their parent, siblings and roots
+/// in elimination order. A postorder leaves the Cholesky fill unchanged
+/// and keeps the pivots of each subtree together, which also keeps the LU
+/// factor's row pivoting local.
+fn assembly_postorder(pivots: &[usize], parent: &[usize]) -> Vec<usize> {
+    let n = parent.len();
+    let mut first_child = vec![NONE; n];
+    let mut sibling = vec![NONE; n];
+    for &e in pivots.iter().rev() {
+        if parent[e] != NONE {
+            sibling[e] = first_child[parent[e]];
+            first_child[parent[e]] = e;
+        }
+    }
+    let mut post = Vec::with_capacity(pivots.len());
+    let mut stack = Vec::new();
+    for &root in pivots.iter().filter(|&&e| parent[e] == NONE) {
         stack.push(root);
-        while let Some(&p) = stack.last() {
-            let child = head[p];
+        while let Some(&e) = stack.last() {
+            let child = first_child[e];
             if child == NONE {
                 stack.pop();
-                post.push(p);
+                post.push(e);
             } else {
-                head[p] = next[child];
+                first_child[e] = sibling[child];
                 stack.push(child);
             }
         }
@@ -321,423 +563,65 @@ fn postorder(parent: &[usize]) -> Vec<usize> {
     post
 }
 
-/// `FLIP(i) = −i − 2`: marks an index as absorbed into (or pointing at)
-/// `i` while keeping `−1` free as "none". It is its own inverse.
-fn flip(i: isize) -> isize {
-    -i - 2
+/// Variables bucketed by approximate degree: one doubly linked list per
+/// degree, and the lowest degree that may be non-empty.
+struct DegreeLists {
+    head: Vec<usize>,
+    next: Vec<usize>,
+    prev: Vec<usize>,
+    bucket: Vec<usize>,
+    min: usize,
 }
 
-/// Resets the element marks when `mark` would overflow; afterwards every
-/// live mark is below the returned value.
-fn wclear(mark: isize, lemax: isize, w: &mut [isize], n: usize) -> isize {
-    if mark < 2 || mark.checked_add(lemax).is_none() {
-        for wk in w.iter_mut().take(n) {
-            if *wk != 0 {
-                *wk = 1;
-            }
+impl DegreeLists {
+    fn new(n: usize) -> Self {
+        DegreeLists {
+            head: vec![NONE; n + 1],
+            next: vec![NONE; n],
+            prev: vec![NONE; n],
+            bucket: vec![0; n],
+            min: 0,
         }
-        return 2;
     }
-    mark
-}
 
-/// The AMD elimination proper on the pattern `(ptr, adj)` of dimension
-/// `n`. Returns `None` only if the pivot search runs dry early, which a
-/// well-formed pattern never does.
-///
-/// Arrays follow CSparse's names. `cp[i]` points at the adjacency list of
-/// variable or element `i` inside `ci`, or holds `flip(parent)` once `i`
-/// has been absorbed; `len`, `elen` are the list length and the number of
-/// elements at its front; `nv` is the supervariable size (negated while
-/// the variable sits in the pivot's element); `degree`, `head`/`next`/
-/// `last` form the degree lists; `w` the element marks; `hhead` the hash
-/// buckets of supervariable detection.
-fn amd_order(n: usize, ptr: &[usize], adj: &[usize]) -> Option<Vec<usize>> {
-    if n == 0 {
-        return Some(Vec::new());
+    /// Puts `v` at the front of the list for degree `d`.
+    fn insert(&mut self, v: usize, d: usize) {
+        let d = d.min(self.head.len() - 1);
+        let first = self.head[d];
+        self.bucket[v] = d;
+        self.prev[v] = NONE;
+        self.next[v] = first;
+        if first != NONE {
+            self.prev[first] = v;
+        }
+        self.head[d] = v;
+        self.min = self.min.min(d);
     }
-    let nn = n as isize;
-    let nzmax = adj.len() + adj.len() / 5 + 2 * n;
-    let mut ci = vec![0isize; nzmax];
-    for (dst, &j) in ci.iter_mut().zip(adj) {
-        *dst = j as isize;
-    }
-    let mut cnz = adj.len() as isize;
-    let mut cp: Vec<isize> = ptr.iter().map(|&p| p as isize).collect();
-    let mut len: Vec<isize> = (0..=n)
-        .map(|k| {
-            if k < n {
-                (ptr[k + 1] - ptr[k]) as isize
-            } else {
-                0
-            }
-        })
-        .collect();
-    let mut nv = vec![1isize; n + 1];
-    let mut next = vec![-1isize; n + 1];
-    let mut last = vec![-1isize; n + 1];
-    let mut head = vec![-1isize; n + 1];
-    let mut hhead = vec![-1isize; n + 1];
-    let mut elen = vec![0isize; n + 1];
-    let mut w = vec![1isize; n + 1];
-    let mut degree = len.clone();
 
-    let dense = ((10.0 * (n as f64).sqrt()) as isize).max(16).min(nn - 2);
-    let mut mark = wclear(0, 0, &mut w, n);
-    elen[n] = -2; // n is a dead element, the root for dense rows
-    cp[n] = -1;
-    w[n] = 0;
-    let mut nel = 0isize;
-    let mut mindeg = 0isize;
-    let mut lemax = 0isize;
-
-    // Degree lists; empty rows are eliminated at once, dense rows are
-    // absorbed into the placeholder element n and ordered last.
-    for i in 0..n {
-        let d = degree[i];
-        if d == 0 {
-            elen[i] = -2;
-            nel += 1;
-            cp[i] = -1;
-            w[i] = 0;
-        } else if d > dense {
-            nv[i] = 0;
-            elen[i] = -1;
-            nel += 1;
-            cp[i] = flip(nn);
-            nv[n] += 1;
+    fn remove(&mut self, v: usize) {
+        let (before, after) = (self.prev[v], self.next[v]);
+        if before == NONE {
+            self.head[self.bucket[v]] = after;
         } else {
-            let du = d as usize;
-            if head[du] != -1 {
-                last[head[du] as usize] = i as isize;
-            }
-            next[i] = head[du];
-            head[du] = i as isize;
+            self.next[before] = after;
+        }
+        if after != NONE {
+            self.prev[after] = before;
         }
     }
 
-    while nel < nn {
-        // ---- Select a variable of minimum approximate degree ----
-        let mut k = -1isize;
-        while mindeg < nn {
-            k = head[mindeg as usize];
-            if k != -1 {
-                break;
+    /// Takes the first variable of the lowest non-empty degree.
+    fn pop_min(&mut self) -> Option<usize> {
+        while self.min < self.head.len() {
+            let v = self.head[self.min];
+            if v != NONE {
+                self.remove(v);
+                return Some(v);
             }
-            mindeg += 1;
+            self.min += 1;
         }
-        if k == -1 {
-            return None;
-        }
-        let ku = k as usize;
-        if next[ku] != -1 {
-            last[next[ku] as usize] = -1;
-        }
-        head[mindeg as usize] = next[ku];
-        let elenk = elen[ku];
-        let mut nvk = nv[ku];
-        nel += nvk;
-
-        // ---- Garbage collection: compact ci when the new element may
-        // not fit behind cnz ----
-        if elenk > 0 && (cnz + mindeg) as usize >= nzmax {
-            for (j, c) in cp.iter_mut().enumerate().take(n) {
-                let p = *c;
-                if p >= 0 {
-                    *c = ci[p as usize];
-                    ci[p as usize] = flip(j as isize);
-                }
-            }
-            let (mut q, mut p) = (0usize, 0usize);
-            while p < cnz as usize {
-                let j = flip(ci[p]);
-                p += 1;
-                if j >= 0 {
-                    let ju = j as usize;
-                    ci[q] = cp[ju];
-                    cp[ju] = q as isize;
-                    q += 1;
-                    for _ in 1..len[ju] {
-                        ci[q] = ci[p];
-                        q += 1;
-                        p += 1;
-                    }
-                }
-            }
-            cnz = q as isize;
-        }
-
-        // ---- Construct the new element Lk ----
-        let mut dk = 0isize;
-        nv[ku] = -nvk; // flag k as in Lk
-        let mut p = cp[ku];
-        let pk1 = if elenk == 0 { p } else { cnz };
-        let mut pk2 = pk1;
-        for k1 in 1..=elenk + 1 {
-            let (e, mut pj, ln) = if k1 > elenk {
-                (k, p, len[ku] - elenk)
-            } else {
-                let e = ci[p as usize];
-                p += 1;
-                (e, cp[e as usize], len[e as usize])
-            };
-            for _ in 0..ln {
-                let i = ci[pj as usize];
-                pj += 1;
-                let iu = i as usize;
-                let nvi = nv[iu];
-                if nvi <= 0 {
-                    continue; // dead, or already in Lk
-                }
-                dk += nvi;
-                nv[iu] = -nvi;
-                ci[pk2 as usize] = i;
-                pk2 += 1;
-                // Remove i from its degree list.
-                if next[iu] != -1 {
-                    last[next[iu] as usize] = last[iu];
-                }
-                if last[iu] != -1 {
-                    next[last[iu] as usize] = next[iu];
-                } else {
-                    head[degree[iu] as usize] = next[iu];
-                }
-            }
-            if e != k {
-                cp[e as usize] = flip(k); // absorb e into k
-                w[e as usize] = 0;
-            }
-        }
-        if elenk != 0 {
-            cnz = pk2;
-        }
-        degree[ku] = dk;
-        cp[ku] = pk1;
-        len[ku] = pk2 - pk1;
-        elen[ku] = -2; // k is now an element
-
-        // ---- Set differences |Le \ Lk| for every element e touching Lk ----
-        mark = wclear(mark, lemax, &mut w, n);
-        for pk in pk1..pk2 {
-            let i = ci[pk as usize] as usize;
-            let eln = elen[i];
-            if eln <= 0 {
-                continue;
-            }
-            let nvi = -nv[i];
-            let wnvi = mark - nvi;
-            for p in cp[i]..cp[i] + eln {
-                let e = ci[p as usize] as usize;
-                if w[e] >= mark {
-                    w[e] -= nvi;
-                } else if w[e] != 0 {
-                    w[e] = degree[e] + wnvi; // first time e is seen
-                }
-            }
-        }
-
-        // ---- Approximate degree update of every variable in Lk ----
-        for pk in pk1..pk2 {
-            let i = ci[pk as usize] as usize;
-            let p1 = cp[i];
-            let p2 = p1 + elen[i] - 1;
-            let mut pn = p1;
-            let mut h = 0usize;
-            let mut d = 0isize;
-            for p in p1..=p2 {
-                let e = ci[p as usize];
-                let eu = e as usize;
-                if w[eu] != 0 {
-                    let dext = w[eu] - mark;
-                    if dext > 0 {
-                        d += dext;
-                        ci[pn as usize] = e;
-                        pn += 1;
-                        h = h.wrapping_add(eu);
-                    } else {
-                        cp[eu] = flip(k); // aggressive absorption e -> k
-                        w[eu] = 0;
-                    }
-                }
-            }
-            elen[i] = pn - p1 + 1;
-            let p3 = pn;
-            let p4 = p1 + len[i];
-            for p in p2 + 1..p4 {
-                let j = ci[p as usize];
-                let ju = j as usize;
-                let nvj = nv[ju];
-                if nvj <= 0 {
-                    continue; // dead, or in Lk
-                }
-                d += nvj;
-                ci[pn as usize] = j;
-                pn += 1;
-                h = h.wrapping_add(ju);
-            }
-            if d == 0 {
-                // Mass elimination: i's pattern is exactly Lk.
-                cp[i] = flip(k);
-                let nvi = -nv[i];
-                dk -= nvi;
-                nvk += nvi;
-                nel += nvi;
-                nv[i] = 0;
-                elen[i] = -1;
-            } else {
-                degree[i] = degree[i].min(d);
-                // Put k first in i's element list.
-                ci[pn as usize] = ci[p3 as usize];
-                ci[p3 as usize] = ci[p1 as usize];
-                ci[p1 as usize] = k;
-                len[i] = pn - p1 + 1;
-                let hb = h % n;
-                next[i] = hhead[hb];
-                hhead[hb] = i as isize;
-                last[i] = hb as isize; // remember the bucket
-            }
-        }
-        degree[ku] = dk;
-        lemax = lemax.max(dk);
-        mark = wclear(mark.saturating_add(lemax), lemax, &mut w, n);
-
-        // ---- Supervariable detection: merge variables of Lk with equal
-        // patterns, bucketed by hash ----
-        for pk in pk1..pk2 {
-            let i0 = ci[pk as usize] as usize;
-            if nv[i0] >= 0 {
-                continue;
-            }
-            let hb = last[i0] as usize;
-            let mut i = hhead[hb];
-            hhead[hb] = -1;
-            while i != -1 && next[i as usize] != -1 {
-                let iu = i as usize;
-                let ln = len[iu];
-                let eln = elen[iu];
-                for p in cp[iu] + 1..cp[iu] + ln {
-                    w[ci[p as usize] as usize] = mark;
-                }
-                let mut jlast = i;
-                let mut j = next[iu];
-                while j != -1 {
-                    let ju = j as usize;
-                    let mut ok = len[ju] == ln && elen[ju] == eln;
-                    let mut p = cp[ju] + 1;
-                    while ok && p < cp[ju] + ln {
-                        if w[ci[p as usize] as usize] != mark {
-                            ok = false;
-                        }
-                        p += 1;
-                    }
-                    if ok {
-                        cp[ju] = flip(i); // absorb j into i
-                        nv[iu] += nv[ju];
-                        nv[ju] = 0;
-                        elen[ju] = -1;
-                        j = next[ju];
-                        next[jlast as usize] = j;
-                    } else {
-                        jlast = j;
-                        j = next[ju];
-                    }
-                }
-                i = next[iu];
-                mark += 1;
-            }
-        }
-
-        // ---- Finalize Lk and put its variables back in the degree lists ----
-        let mut p = pk1;
-        for pk in pk1..pk2 {
-            let i = ci[pk as usize];
-            let iu = i as usize;
-            let nvi = -nv[iu];
-            if nvi <= 0 {
-                continue;
-            }
-            nv[iu] = nvi;
-            let d = (degree[iu] + dk - nvi).min(nn - nel - nvi).max(0);
-            let du = d as usize;
-            if head[du] != -1 {
-                last[head[du] as usize] = i;
-            }
-            next[iu] = head[du];
-            last[iu] = -1;
-            head[du] = i;
-            mindeg = mindeg.min(d);
-            degree[iu] = d;
-            ci[p as usize] = i;
-            p += 1;
-        }
-        nv[ku] = nvk;
-        len[ku] = p - pk1;
-        if len[ku] == 0 {
-            cp[ku] = -1; // k is a root of the assembly tree
-            w[ku] = 0;
-        }
-        if elenk != 0 {
-            cnz = p;
-        }
+        None
     }
-
-    // ---- Postorder the assembly tree ----
-    for c in cp.iter_mut().take(n) {
-        *c = flip(*c);
-    }
-    let mut head = vec![NONE; n + 1];
-    let mut next = vec![NONE; n + 1];
-    // Absorbed variables first, then elements, each list in reverse so
-    // children come out in increasing index order.
-    for j in (0..=n).rev() {
-        if nv[j] > 0 || cp[j] < 0 {
-            continue;
-        }
-        let pj = cp[j] as usize;
-        next[j] = head[pj];
-        head[pj] = j;
-    }
-    for e in (0..=n).rev() {
-        if nv[e] <= 0 || cp[e] < 0 {
-            continue;
-        }
-        let pe = cp[e] as usize;
-        next[e] = head[pe];
-        head[pe] = e;
-    }
-    let mut post = Vec::with_capacity(n + 1);
-    let mut stack: Vec<usize> = Vec::new();
-    for (root, &c) in cp.iter().enumerate() {
-        if c != -1 {
-            continue;
-        }
-        stack.push(root);
-        while let Some(&p) = stack.last() {
-            let child = head[p];
-            if child == NONE {
-                stack.pop();
-                if p < n {
-                    post.push(p);
-                }
-            } else {
-                head[p] = next[child];
-                stack.push(child);
-            }
-        }
-    }
-    Some(post)
-}
-
-/// Reverse Cuthill–McKee ordering of the symmetrised pattern of `a`,
-/// `perm[new] = old`; see [`SymmetricPattern::rcm`].
-pub fn rcm_ordering<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
-    SymmetricPattern::new(a).rcm()
-}
-
-/// Approximate minimum degree ordering of the symmetrised pattern of `a`,
-/// `perm[new] = old`; see [`SymmetricPattern::amd`].
-pub fn amd_ordering<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
-    SymmetricPattern::new(a).amd()
 }
 
 /// Applies a symmetric permutation: returns `B` with
@@ -772,25 +656,12 @@ pub fn permute_symmetric<T: Scalar>(a: &CsrMatrix<T>, perm: &[usize]) -> CsrMatr
     CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
 }
 
-/// Bandwidth of a sparse matrix: `max |i − j|` over stored entries. Used
-/// to validate that RCM actually tightened the profile.
-pub fn bandwidth<T: Scalar>(a: &CsrMatrix<T>) -> usize {
-    let mut bw = 0usize;
-    for i in 0..a.rows() {
-        let (cols, _) = a.row(i);
-        for &j in cols {
-            bw = bw.max(i.abs_diff(j));
-        }
-    }
-    bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CooMatrix;
 
-    /// A ring graph numbered badly: 0 connects to n-1 (max bandwidth).
+    /// A ring graph numbered badly: 0 connects to n-1.
     fn ring(n: usize) -> CsrMatrix<f64> {
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -851,15 +722,19 @@ mod tests {
         coo.to_csr()
     }
 
+    fn amd(a: &CsrMatrix<f64>) -> Vec<usize> {
+        SymmetricPattern::new(a).amd()
+    }
+
     fn assert_permutation(p: &[usize], n: usize) {
         let mut sorted = p.to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..n).collect::<Vec<_>>());
     }
 
-    /// Dense symbolic Cholesky: nonzeros of L (diagonal included) after
-    /// ordering `perm`, by explicit elimination on a boolean matrix.
-    fn brute_force_fill(a: &CsrMatrix<f64>, perm: &[usize]) -> u64 {
+    /// Symbolic Cholesky by explicit elimination on a boolean matrix: the
+    /// nonzeros of L, diagonal included, under ordering `perm`.
+    fn fill(a: &CsrMatrix<f64>, perm: &[usize]) -> u64 {
         let n = a.rows();
         let b = permute_symmetric(a, perm);
         let mut m = vec![vec![false; n]; n];
@@ -881,29 +756,14 @@ mod tests {
         nnz
     }
 
-    #[test]
-    fn rcm_is_a_permutation() {
-        let a = ring(16);
-        assert_permutation(&rcm_ordering(&a), 16);
-    }
-
-    #[test]
-    fn rcm_tightens_ring_bandwidth() {
-        let a = ring(32);
-        assert_eq!(bandwidth(&a), 31);
-        let p = rcm_ordering(&a);
-        let b = permute_symmetric(&a, &p);
-        assert!(
-            bandwidth(&b) <= 3,
-            "RCM should make a ring near-tridiagonal, got bandwidth {}",
-            bandwidth(&b)
-        );
+    fn natural(n: usize) -> Vec<usize> {
+        (0..n).collect()
     }
 
     #[test]
     fn permutation_preserves_values() {
         let a = ring(8);
-        let p = rcm_ordering(&a);
+        let p = amd(&a);
         let b = permute_symmetric(&a, &p);
         assert_eq!(a.nnz(), b.nnz());
         // Diagonal values travel with the permutation.
@@ -922,7 +782,7 @@ mod tests {
     #[test]
     fn permute_symmetric_matches_entrywise_definition() {
         let a = random_pattern(30, 3, 7);
-        let p = amd_ordering(&a);
+        let p = amd(&a);
         let b = permute_symmetric(&a, &p);
         for i in 0..30 {
             let cols = b.row(i).0;
@@ -943,36 +803,28 @@ mod tests {
         coo.push(1, 0, 1.0).unwrap();
         coo.push(4, 5, 1.0).unwrap();
         coo.push(5, 4, 1.0).unwrap();
-        let a = coo.to_csr();
-        assert_permutation(&rcm_ordering(&a), 6);
-        assert_permutation(&amd_ordering(&a), 6);
+        assert_permutation(&amd(&coo.to_csr()), 6);
     }
 
     #[test]
     fn empty_matrix() {
         let a = CooMatrix::<f64>::new(0, 0).to_csr();
-        assert!(rcm_ordering(&a).is_empty());
-        assert!(amd_ordering(&a).is_empty());
-        assert_eq!(SymmetricPattern::new(&a).cholesky_nnz(&[]), Some(0));
-        assert_eq!(bandwidth(&a), 0);
+        assert_eq!(SymmetricPattern::new(&a).dim(), 0);
+        assert!(amd(&a).is_empty());
     }
 
     #[test]
     fn asymmetric_pattern_is_symmetrized() {
-        // Entry only at (0, 3): RCM must still see 0—3 as an edge.
+        // Entry only at (0, 3): the pattern must still hold edge 0—3.
         let mut coo = CooMatrix::new(4, 4);
         for i in 0..4 {
             coo.push(i, i, 1.0).unwrap();
         }
         coo.push(0, 3, 1.0).unwrap();
-        let a = coo.to_csr();
-        let p = rcm_ordering(&a);
-        let pos = |v: usize| p.iter().position(|&x| x == v).unwrap();
-        // 0 and 3 end up adjacent in the ordering.
-        assert!(pos(0).abs_diff(pos(3)) <= 2);
-        let s = SymmetricPattern::new(&a);
+        let s = SymmetricPattern::new(&coo.to_csr());
         assert_eq!(s.neighbours(0), &[3]);
         assert_eq!(s.neighbours(3), &[0]);
+        assert!(s.neighbours(1).is_empty());
         assert_permutation(&s.amd(), 4);
     }
 
@@ -980,21 +832,42 @@ mod tests {
     fn amd_returns_permutations_on_varied_patterns() {
         for (n, per_row, seed) in [(1, 0, 1), (2, 1, 2), (3, 2, 3), (50, 1, 4), (200, 4, 5)] {
             let a = random_pattern(n, per_row, seed);
-            assert_permutation(&amd_ordering(&a), n);
+            assert_permutation(&amd(&a), n);
         }
         // Diagonal only: every vertex is its own component.
         let mut coo = CooMatrix::new(5, 5);
         for i in 0..5 {
             coo.push(i, i, 1.0).unwrap();
         }
-        assert_permutation(&amd_ordering(&coo.to_csr()), 5);
-        // A dense row past the 16-neighbour threshold is set aside.
-        assert_permutation(&amd_ordering(&arrow(100)), 100);
+        assert_permutation(&amd(&coo.to_csr()), 5);
+        // A clique: one supervariable after the first pivot.
+        let mut clique = CooMatrix::new(40, 40);
+        for i in 0..40 {
+            for j in 0..40 {
+                clique.push(i, j, 1.0).unwrap();
+            }
+        }
+        assert_permutation(&amd(&clique.to_csr()), 40);
     }
 
-    /// Arrow matrix whose body is the `m × m` grid: hub `m²` couples to
-    /// every grid vertex, like a supply or ground node shared by a mesh.
-    fn arrow_grid(m: usize) -> CsrMatrix<f64> {
+    #[test]
+    fn amd_leaves_the_arrow_hub_for_last() {
+        // Eliminating the hub first fills the whole matrix; AMD orders the
+        // leaves first, so L has no fill at all.
+        let n = 60;
+        let a = arrow(n);
+        let p = amd(&a);
+        assert!(p[n - 2..].contains(&0), "hub among the last two: {p:?}");
+        assert_eq!(fill(&a, &p), (2 * n - 1) as u64);
+        assert_eq!(fill(&a, &natural(n)), (n * (n + 1) / 2) as u64);
+    }
+
+    #[test]
+    fn dense_hub_is_set_aside() {
+        // A hub coupled to every vertex of a 30 × 30 grid has more than
+        // 10·√n neighbours: it is ordered last, and the grid is ordered
+        // as if the hub were not there.
+        let m = 30;
         let g = grid(m);
         let n = m * m + 1;
         let mut coo = CooMatrix::new(n, n);
@@ -1007,76 +880,90 @@ mod tests {
             coo.push(n - 1, i, -1.0).unwrap();
         }
         coo.push(n - 1, n - 1, n as f64).unwrap();
-        coo.to_csr()
+        let p = amd(&coo.to_csr());
+        assert_eq!(p[n - 1], n - 1);
+        assert_eq!(&p[..n - 1], amd(&g).as_slice());
     }
 
     #[test]
-    fn amd_orders_the_arrow_hub_last() {
-        // Eliminating the hub first fills the whole matrix; AMD leaves it
-        // for last, so L has no fill at all.
-        let n = 60;
-        let s = SymmetricPattern::new(&arrow(n));
-        let amd = s.amd();
-        assert_eq!(amd[n - 1], 0, "hub goes last");
-        assert_eq!(s.cholesky_nnz(&amd), Some((2 * n - 1) as u64));
-        let natural: Vec<usize> = (0..n).collect();
-        assert_eq!(s.cholesky_nnz(&natural), Some((n * (n + 1) / 2) as u64));
-    }
-
-    #[test]
-    fn amd_beats_rcm_on_an_arrow() {
-        // Through the hub every vertex is two hops from RCM's start, so
-        // its second breadth-first level is the whole grid, queued by
-        // degree and index; AMD sets the hub aside and orders the grid
-        // by minimum degree.
-        let s = SymmetricPattern::new(&arrow_grid(30));
-        let fill_amd = s.cholesky_nnz(&s.amd()).unwrap();
-        let fill_rcm = s.cholesky_nnz(&s.rcm()).unwrap();
-        assert!(
-            fill_amd * 4 < fill_rcm,
-            "arrow fill: AMD {fill_amd} vs RCM {fill_rcm}"
-        );
-    }
-
-    #[test]
-    fn amd_beats_rcm_on_a_grid() {
+    fn amd_beats_the_banded_numbering_on_a_grid() {
+        // Row-major numbering is a bandwidth-m order, as good as reverse
+        // Cuthill–McKee on a square grid; minimum degree fills far less.
         let a = grid(30);
-        let s = SymmetricPattern::new(&a);
-        let fill_amd = s.cholesky_nnz(&s.amd()).unwrap();
-        let fill_rcm = s.cholesky_nnz(&s.rcm()).unwrap();
+        let (amd_fill, banded) = (fill(&a, &amd(&a)), fill(&a, &natural(900)));
         assert!(
-            (fill_amd as f64) < 0.6 * fill_rcm as f64,
-            "30x30 grid fill: AMD {fill_amd} vs RCM {fill_rcm}"
+            (amd_fill as f64) < 0.6 * banded as f64,
+            "30x30 grid fill: AMD {amd_fill} vs banded {banded}"
         );
     }
 
     #[test]
-    fn column_counts_match_brute_force_elimination() {
-        for (n, per_row, seed) in [(12, 1, 11), (40, 2, 12), (64, 3, 13)] {
+    fn amd_keeps_a_scrambled_chain_free_of_fill() {
+        // A path whose k-th vertex is 17·k mod n: minimum degree always
+        // takes an end of what is left, so L has no fill, while the
+        // natural numbering fills.
+        let n = 64;
+        let mut coo = CooMatrix::new(n, n);
+        for k in 0..n {
+            coo.push(k, k, 4.0).unwrap();
+        }
+        for k in 0..n - 1 {
+            let (u, v) = (17 * k % n, 17 * (k + 1) % n);
+            coo.push(u, v, -1.0).unwrap();
+            coo.push(v, u, -1.0).unwrap();
+        }
+        let a = coo.to_csr();
+        assert_eq!(fill(&a, &amd(&a)), (2 * n - 1) as u64);
+        assert!(fill(&a, &natural(n)) > (2 * n - 1) as u64);
+    }
+
+    #[test]
+    fn amd_fill_is_close_to_exact_minimum_degree() {
+        // The approximate degrees are upper bounds; on random patterns the
+        // resulting fill stays within 25 % of exact minimum degree's.
+        for (n, per_row, seed) in [(60, 2, 31), (120, 2, 32), (150, 3, 33)] {
             let a = random_pattern(n, per_row, seed);
-            let s = SymmetricPattern::new(&a);
-            for perm in [s.rcm(), s.amd(), (0..n).collect()] {
-                assert_eq!(s.cholesky_nnz(&perm), Some(brute_force_fill(&a, &perm)));
+            let (approx, exact) = (fill(&a, &amd(&a)), fill(&a, &exact_minimum_degree(&a)));
+            assert!(
+                approx as f64 <= 1.25 * exact as f64,
+                "n {n}: AMD {approx} vs exact MD {exact}"
+            );
+        }
+    }
+
+    /// Exact minimum degree on the explicit elimination graph (lowest
+    /// index on ties), for comparison.
+    fn exact_minimum_degree(a: &CsrMatrix<f64>) -> Vec<usize> {
+        let s = SymmetricPattern::new(a);
+        let n = s.dim();
+        let mut adj: Vec<std::collections::BTreeSet<usize>> = (0..n)
+            .map(|v| s.neighbours(v).iter().copied().collect())
+            .collect();
+        let mut alive = vec![true; n];
+        let mut order = Vec::with_capacity(n);
+        for _ in 0..n {
+            let p = (0..n)
+                .filter(|&v| alive[v])
+                .min_by_key(|&v| (adj[v].len(), v))
+                .unwrap();
+            alive[p] = false;
+            order.push(p);
+            let nb: Vec<usize> = adj[p].iter().copied().collect();
+            for &u in &nb {
+                adj[u].remove(&p);
+                for &v in &nb {
+                    if u != v {
+                        adj[u].insert(v);
+                    }
+                }
             }
         }
-        let g = grid(6);
-        let s = SymmetricPattern::new(&g);
-        let amd = s.amd();
-        assert_eq!(s.cholesky_nnz(&amd), Some(brute_force_fill(&g, &amd)));
-    }
-
-    #[test]
-    fn fill_prediction_rejects_non_permutations() {
-        let s = SymmetricPattern::new(&ring(4));
-        assert_eq!(s.cholesky_nnz(&[0, 1, 2]), None);
-        assert_eq!(s.cholesky_nnz(&[0, 1, 1, 2]), None);
-        assert_eq!(s.cholesky_nnz(&[0, 1, 2, 4]), None);
+        order
     }
 
     #[test]
     fn orderings_are_deterministic() {
         let a = random_pattern(300, 3, 21);
-        assert_eq!(amd_ordering(&a), amd_ordering(&a));
-        assert_eq!(rcm_ordering(&a), rcm_ordering(&a));
+        assert_eq!(amd(&a), amd(&a));
     }
 }

@@ -611,7 +611,7 @@ mod tests {
                 "seed {seed}: {}",
                 max_gap(&xd, &xs)
             );
-            let perm = crate::ordering::amd_ordering(&csr);
+            let perm = crate::ordering::SymmetricPattern::new(&csr).amd();
             let xo = SparseLu::with_ordering(&csr, &perm)
                 .unwrap()
                 .solve(&b)
@@ -626,7 +626,7 @@ mod tests {
             let csr = CsrMatrix::from_dense(&dc, 0.0);
             let xs = SparseLu::new(&csr).unwrap().solve(&bc).unwrap();
             assert!(max_gap(&xd, &xs) < 1e-10, "complex seed {seed}");
-            let perm = crate::ordering::rcm_ordering(&csr);
+            let perm = crate::ordering::SymmetricPattern::new(&csr).amd();
             let xo = SparseLu::with_ordering(&csr, &perm)
                 .unwrap()
                 .solve(&bc)
@@ -639,7 +639,7 @@ mod tests {
     fn factoring_twice_gives_bit_identical_solves() {
         let d = random_mna_like(80, 8, 99, |re, _| re);
         let csr = csr_from_dense(&d);
-        let perm = crate::ordering::amd_ordering(&csr);
+        let perm = crate::ordering::SymmetricPattern::new(&csr).amd();
         let b: Vec<f64> = (0..80).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let first = SparseLu::with_ordering(&csr, &perm).unwrap();
         let second = SparseLu::with_ordering(&csr, &perm).unwrap();

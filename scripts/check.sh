@@ -152,10 +152,11 @@ for net in 1 2; do
 done
 
 echo "==> fill-ordering smoke (Table II full VPEC factors under AMD)"
-# Each sparse MNA factor is ordered by RCM or AMD, whichever predicts less
-# fill. Full VPEC's transient matrix on the 32x8 bus has 337 k LU
-# nonzeros under RCM and ~90 k under AMD, and the count is deterministic;
-# a fill regression would otherwise show only as a slower benchmark.
+# Each sparse MNA factor is ordered by approximate minimum degree. Full
+# VPEC's transient matrix on the 32x8 bus has 337 k LU nonzeros under a
+# bandwidth (RCM) order and ~93 k under AMD, and the count is
+# deterministic; a fill regression would otherwise show only as a slower
+# benchmark.
 fill_out="target/fill_smoke.txt"
 timeout 120 ./target/release/vpec simulate --bits 32 --segments 8 --kind vpec-full \
   --tstop 20p --dt 1p --probe 16 > "$fill_out"
